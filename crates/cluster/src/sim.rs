@@ -1,9 +1,10 @@
 //! The cluster simulation: a power tree over per-enclosure adaptive
 //! controllers, driven by multi-tenant open-loop workloads.
 //!
-//! One lockstep event loop advances every device in the cluster together
-//! (so node-level power sums are coherent), merges the tenants' arrival
-//! streams in time order, and runs a control round on a fixed interval:
+//! One event loop advances the devices that have an event due, and every
+//! device together whenever it samples or commands them (so node-level
+//! power sums are coherent), merges the tenants' arrival streams in time
+//! order, and runs a control round on a fixed interval:
 //! enclosures report demands, the tree rebalances, and revised budgets
 //! cascade into [`AdaptiveController::apply_budget`] re-plans. Per-tenant
 //! latencies land in [`SloWindow`]s; per-node power is sampled on its own
@@ -466,6 +467,14 @@ pub struct ClusterSim {
     /// Reused holder buffer for placement-routed arrivals; transient.
     // powadapt-lint: allow(d6, reason = "transient per-arrival scratch; contents never live across a snapshot")
     holders_scratch: Vec<u32>,
+    /// Reused candidate buffer for the least-loaded router; transient.
+    // powadapt-lint: allow(d6, reason = "transient per-arrival scratch; contents never live across a snapshot")
+    candidates_scratch: Vec<usize>,
+    /// Each device's next event time, indexed like `flat`: the step
+    /// loop's copy of `next_event()`, refreshed after every interaction
+    /// with the device so the next-time scan makes no device calls.
+    // powadapt-lint: allow(d6, reason = "derived from the devices' event queues; rebuilt on entry to run_to")
+    wake: Vec<Option<SimTime>>,
 }
 
 impl fmt::Debug for ClusterSim {
@@ -739,6 +748,8 @@ impl ClusterSim {
             mig_scratch: vec![(0, false); mig_cap],
             mig_scratch_len: 0,
             holders_scratch: Vec::new(),
+            candidates_scratch: Vec::new(),
+            wake: vec![None; n_devices],
         })
     }
 
@@ -800,6 +811,9 @@ impl ClusterSim {
     /// Propagates controller, device, and tree failures.
     pub fn run_to(&mut self, limit: SimTime) -> Result<(), ClusterError> {
         let limit = limit.min(self.t_end);
+        // The wake cache is derived state: rebuilding it here covers
+        // construction, resume, and anything done between calls.
+        self.refresh_wakes();
         loop {
             // Next event time across arrivals, devices, the two tickers,
             // and scheduled tree-fault transitions.
@@ -810,18 +824,20 @@ impl ClusterSim {
             for a in self.pending.iter().flatten() {
                 t = t.min(self.start.max(a.at));
             }
-            for ctl in &mut self.controllers {
-                for d in 0..ctl.devices().len() {
-                    if let Some(dt) = ctl.device_mut(d).next_event() {
-                        t = t.min(dt);
-                    }
-                }
+            for &w in self.wake.iter().flatten() {
+                t = t.min(w);
             }
             if t >= limit {
                 break;
             }
             self.step_at(t)?;
             self.now = t;
+        }
+        // Leave every device clock at `now`, as a lockstep loop would, so
+        // a snapshot taken here is the same bytes whichever devices the
+        // last steps had to advance.
+        for gi in 0..self.flat.len() {
+            self.catch_up(gi, self.now);
         }
         Ok(())
     }
@@ -836,7 +852,7 @@ impl ClusterSim {
 
         // Close the run at exactly t_end: drain-by-advance, final
         // sample, and the closing ledger audit.
-        self.drain_completions(self.t_end);
+        self.drain_completions(self.t_end, true);
         self.sample_nodes(self.t_end);
         self.node_samples += 1;
         self.audit_ledger(self.t_end);
@@ -856,7 +872,7 @@ impl ClusterSim {
         let tenant_reports: Vec<TenantReport> = self
             .tenants
             .iter()
-            .zip(&self.accounts)
+            .zip(&mut self.accounts)
             .map(|(t, a)| TenantReport {
                 name: t.name.clone(),
                 submitted: a.submitted,
@@ -899,8 +915,15 @@ impl ClusterSim {
     /// One loop-body iteration at event time `t`: advance devices, admit
     /// arrivals, process tree-fault transitions, run the control round and
     /// power sampling when due.
+    ///
+    /// Only devices with an event due at `t` advance, except on a step
+    /// that runs a tree-fault, control or sample round: those read and
+    /// command every device, so every device advances to `t` first.
     fn step_at(&mut self, t: SimTime) -> Result<(), ClusterError> {
-        self.drain_completions(t);
+        let round = t >= self.next_control
+            || t >= self.next_sample
+            || self.faults.next_transition().is_some_and(|ft| ft <= t);
+        self.drain_completions(t, round);
         self.dispatch_migrations(t)?;
         self.admit_arrivals(t)?;
 
@@ -928,43 +951,55 @@ impl ClusterSim {
             self.node_samples += 1;
             self.next_sample = t + self.sample_interval;
         }
+        if round {
+            // Control and fault rounds command devices (power states,
+            // standby) outside `try_submit`.
+            self.refresh_wakes();
+        }
         Ok(())
     }
 
-    /// Advances the whole cluster in lockstep to `t`, crediting
-    /// completions to their tenants' SLO windows.
+    /// Advances to `t` every device with an event due by then — or, with
+    /// `all`, every device — in index order, crediting completions to
+    /// their tenants' SLO windows. A device with nothing due completes
+    /// nothing, so skipping it leaves the completion order unchanged.
     // powadapt-lint: hot
-    fn drain_completions(&mut self, t: SimTime) {
+    fn drain_completions(&mut self, t: SimTime, all: bool) {
         let mut done = std::mem::take(&mut self.drain_scratch);
-        for ctl in &mut self.controllers {
-            for d in 0..ctl.devices().len() {
-                done.clear();
-                ctl.device_mut(d).advance_to_into(t, &mut done);
-                for c in &done {
-                    match self.owners.remove(&c.id.0) {
-                        Some(IoOwner::Tenant(tenant)) => {
-                            let latency_us =
-                                c.completed.duration_since(c.submitted).as_secs_f64() * 1e6;
-                            self.accounts[tenant]
-                                .window
-                                .observe(Micros::new(latency_us), c.len);
-                        }
-                        // Migration legs are handed to the dispatcher via
-                        // the fixed-capacity scratch: the engine caps
-                        // in-flight moves at the scratch's size, so the
-                        // indexed store never overruns.
-                        Some(IoOwner::MigrationRead(m)) => {
-                            self.mig_scratch[self.mig_scratch_len] = (m, false);
-                            self.mig_scratch_len += 1;
-                            self.mig_bytes += c.len;
-                        }
-                        Some(IoOwner::MigrationWrite(m)) => {
-                            self.mig_scratch[self.mig_scratch_len] = (m, true);
-                            self.mig_scratch_len += 1;
-                            self.mig_bytes += c.len;
-                        }
-                        None => {}
+        for gi in 0..self.flat.len() {
+            let due = self.wake[gi].is_some_and(|w| w <= t);
+            if !(all || due) {
+                continue;
+            }
+            let (e, d) = self.flat[gi];
+            let dev = self.controllers[e].device_mut(d);
+            done.clear();
+            dev.advance_to_into(t, &mut done);
+            self.wake[gi] = dev.next_event();
+            for c in &done {
+                match self.owners.remove(&c.id.0) {
+                    Some(IoOwner::Tenant(tenant)) => {
+                        let latency_us =
+                            c.completed.duration_since(c.submitted).as_secs_f64() * 1e6;
+                        self.accounts[tenant]
+                            .window
+                            .observe(Micros::new(latency_us), c.len);
                     }
+                    // Migration legs are handed to the dispatcher via
+                    // the fixed-capacity scratch: the engine caps
+                    // in-flight moves at the scratch's size, so the
+                    // indexed store never overruns.
+                    Some(IoOwner::MigrationRead(m)) => {
+                        self.mig_scratch[self.mig_scratch_len] = (m, false);
+                        self.mig_scratch_len += 1;
+                        self.mig_bytes += c.len;
+                    }
+                    Some(IoOwner::MigrationWrite(m)) => {
+                        self.mig_scratch[self.mig_scratch_len] = (m, true);
+                        self.mig_scratch_len += 1;
+                        self.mig_bytes += c.len;
+                    }
+                    None => {}
                 }
             }
         }
@@ -1036,7 +1071,7 @@ impl ClusterSim {
                 offset: io.offset,
                 len: io.len,
             };
-            if self.try_submit(gi, id, &arrival)? {
+            if self.try_submit(gi, id, &arrival, t)? {
                 let owner = if io.write {
                     IoOwner::MigrationWrite(io.migration)
                 } else {
@@ -1197,7 +1232,7 @@ impl ClusterSim {
                     skipped += 1;
                     continue;
                 }
-                if self.try_submit(gi, id, arrival)? {
+                if self.try_submit(gi, id, arrival, now)? {
                     submitted = true;
                     break;
                 }
@@ -1214,7 +1249,7 @@ impl ClusterSim {
                     {
                         continue;
                     }
-                    if self.try_submit(gi, id, arrival)? {
+                    if self.try_submit(gi, id, arrival, now)? {
                         submitted = true;
                         break;
                     }
@@ -1245,13 +1280,15 @@ impl ClusterSim {
         // Least-loaded routable device; ties break to the lowest index. A
         // transient refusal moves on to the next candidate; exhausting all
         // of them drops the arrival (open loop does not retry later).
-        let mut candidates: Vec<usize> =
-            (0..self.flat.len()).filter(|&i| self.routable[i]).collect();
+        let mut candidates = std::mem::take(&mut self.candidates_scratch);
+        candidates.clear();
+        candidates.extend((0..self.flat.len()).filter(|&i| self.routable[i]));
         candidates.sort_by_key(|&i| {
             let (e, d) = self.flat[i];
             (self.controllers[e].devices()[d].inflight(), i)
         });
         let mut skipped = 0u32;
+        let mut submitted = false;
         for &gi in &candidates {
             let (e, d) = self.flat[gi];
             let awake = self.controllers[e].devices()[d].standby_state() == StandbyState::Active;
@@ -1259,34 +1296,72 @@ impl ClusterSim {
                 skipped += 1;
                 continue;
             }
-            if self.try_submit(gi, id, arrival)? {
-                if skipped > 0 {
-                    emit!(rec, now, "cluster", EventKind::RoutedAround { id, skipped });
-                }
-                self.owners.insert(id, IoOwner::Tenant(tenant));
-                self.accounts[tenant].submitted += 1;
-                return Ok(());
+            if self.try_submit(gi, id, arrival, now)? {
+                submitted = true;
+                break;
             }
         }
+        self.candidates_scratch = candidates;
         if skipped > 0 {
             emit!(rec, now, "cluster", EventKind::RoutedAround { id, skipped });
         }
-        self.accounts[tenant].dropped += 1;
-        emit!(rec, now, "cluster", EventKind::ArrivalDropped { id });
+        if submitted {
+            self.owners.insert(id, IoOwner::Tenant(tenant));
+            self.accounts[tenant].submitted += 1;
+        } else {
+            self.accounts[tenant].dropped += 1;
+            emit!(rec, now, "cluster", EventKind::ArrivalDropped { id });
+        }
         Ok(())
     }
 
-    /// Submits `arrival` as request `id` against flat device `gi`,
-    /// clamping the transfer to the device's capacity. Returns whether
-    /// the device accepted it; transient refusals report `false`, hard
-    /// failures propagate.
-    fn try_submit(&mut self, gi: usize, id: u64, arrival: &Arrival) -> Result<bool, ClusterError> {
+    /// Flat device `gi`.
+    fn device_mut(&mut self, gi: usize) -> &mut dyn StorageDevice {
         let (e, d) = self.flat[gi];
-        let dev = self.controllers[e].device_mut(d);
+        self.controllers[e].device_mut(d)
+    }
+
+    /// Re-reads every device's next event time into the wake cache.
+    fn refresh_wakes(&mut self) {
+        for gi in 0..self.flat.len() {
+            self.wake[gi] = self.device_mut(gi).next_event();
+        }
+    }
+
+    /// Brings device `gi`'s clock up to `t` before anything touches it:
+    /// the clock stamps submissions and emits and schedules standby
+    /// transitions. Only devices with nothing due by `t` lag the step
+    /// time, so the advance can never complete an IO.
+    fn catch_up(&mut self, gi: usize, t: SimTime) {
+        let mut done = std::mem::take(&mut self.drain_scratch);
+        let dev = self.device_mut(gi);
+        if dev.now() < t {
+            dev.advance_to_into(t, &mut done);
+            debug_assert!(done.is_empty(), "catch-up advance completed IO");
+        }
+        done.clear();
+        self.drain_scratch = done;
+    }
+
+    /// Submits `arrival` as request `id` against flat device `gi` at step
+    /// time `now`, clamping the transfer to the device's capacity.
+    /// Returns whether the device accepted it; transient refusals report
+    /// `false`, hard failures propagate.
+    fn try_submit(
+        &mut self,
+        gi: usize,
+        id: u64,
+        arrival: &Arrival,
+        now: SimTime,
+    ) -> Result<bool, ClusterError> {
+        self.catch_up(gi, now);
+        let dev = self.device_mut(gi);
         let cap = dev.spec().capacity();
         let len = arrival.len.min(cap);
         let offset = arrival.offset.min(cap - len);
-        match dev.submit(IoRequest::new(IoId(id), arrival.kind, offset, len)) {
+        let res = dev.submit(IoRequest::new(IoId(id), arrival.kind, offset, len));
+        self.wake[gi] = dev.next_event();
+        match res {
             Ok(()) => Ok(true),
             Err(e) if e.is_transient() => Ok(false),
             Err(e) => Err(e.into()),
@@ -1515,14 +1590,20 @@ impl ClusterSim {
     /// One ledger audit round: attribute the interval's energy to the
     /// tenants by bytes moved and verify conservation against the tree.
     fn audit_ledger(&mut self, now: SimTime) {
+        let p99s: Vec<Option<f64>> = self
+            .accounts
+            .iter_mut()
+            .map(|a| a.window.p99_latency().map(Micros::get))
+            .collect();
         let usage: Vec<TenantUsage<'_>> = self
             .tenants
             .iter()
             .zip(&self.accounts)
-            .map(|(t, a)| TenantUsage {
+            .zip(p99s)
+            .map(|((t, a), p99)| TenantUsage {
                 name: &t.name,
                 bytes: a.window.bytes(),
-                p99_latency_us: a.window.p99_latency().map(Micros::get),
+                p99_latency_us: p99,
                 slo_p99_us: a.slo.max_p99_latency(),
             })
             .collect();

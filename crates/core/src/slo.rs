@@ -127,9 +127,112 @@ impl fmt::Display for Slo {
     }
 }
 
+/// Latencies in microseconds as an append-only log with a sorted prefix.
+///
+/// Pushing is O(1); [`settle`](LatencyLog::settle) sorts only the entries
+/// appended since the last settle and merges them into the prefix in
+/// place, so a window queried once per control round pays O(k log n) for
+/// its k new samples plus one block move of the prefix, not an O(n)
+/// shift per sample.
+///
+/// The settled order is exactly the order repeated sorted insertion would
+/// give: ascending, with equal values (`-0.0 == 0.0` included) in arrival
+/// order. That keeps every percentile, the sorted-order mean sum and the
+/// serialized bytes bit-identical to an always-sorted window. Entries are
+/// always finite, so the partial order is total over them.
+#[derive(Debug, Clone, Default)]
+struct LatencyLog {
+    vals: Vec<f64>,
+    /// Length of the sorted prefix of `vals`.
+    sorted: usize,
+    /// Reused merge buffer, sized to the largest tail settled so far.
+    merge: Vec<f64>,
+}
+
+/// Ascending order over finite latencies; equal values compare equal, so
+/// a stable sort keeps them in arrival order.
+fn ascending(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+impl LatencyLog {
+    fn push(&mut self, us: f64) {
+        self.vals.push(us);
+    }
+
+    fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.sorted = 0;
+    }
+
+    /// Sorts the unsorted tail and merges it backward into the prefix,
+    /// returning the whole log in ascending order.
+    fn settle(&mut self) -> &[f64] {
+        let n = self.vals.len();
+        if self.sorted < n {
+            self.merge.clear();
+            self.merge.extend_from_slice(&self.vals[self.sorted..]);
+            self.merge.sort_by(ascending);
+            // Place tail entries largest first. Each lands after every
+            // prefix entry not greater than it (the earlier arrivals), and
+            // the prefix run above it shifts up by one slot per tail entry
+            // still to be placed below it.
+            let mut end = self.sorted;
+            for (j, &v) in self.merge.iter().enumerate().rev() {
+                let cut = self.vals[..end].partition_point(|&p| p <= v);
+                self.vals.copy_within(cut..end, cut + j + 1);
+                self.vals[cut + j] = v;
+                end = cut;
+            }
+            self.sorted = n;
+        }
+        &self.vals
+    }
+
+    /// Feeds the settled order to `f` without settling: the prefix is
+    /// stream-merged with a sorted copy of the tail alone.
+    fn for_each_sorted(&self, mut f: impl FnMut(f64)) {
+        let (mut prefix, tail) = self.vals.split_at(self.sorted);
+        let mut tail = tail.to_vec();
+        tail.sort_by(ascending);
+        for v in tail {
+            // Prefix entries equal to `v` arrived earlier and go first.
+            let cut = prefix.partition_point(|&p| p <= v);
+            prefix[..cut].iter().for_each(|&p| f(p));
+            f(v);
+            prefix = &prefix[cut..];
+        }
+        prefix.iter().for_each(|&p| f(p));
+    }
+
+    fn to_sorted_vec(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.vals.len());
+        self.for_each_sorted(|v| out.push(v));
+        out
+    }
+}
+
+/// Two logs are equal when they hold the same latencies, however much of
+/// each is settled.
+impl PartialEq for LatencyLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.to_sorted_vec() == other.to_sorted_vec()
+    }
+}
+
 /// An observation window of completed-request latencies and bytes, used to
 /// judge an [`Slo`] against *live* traffic instead of a calibrated
 /// [`ConfigPoint`]. The cluster layer keeps one per tenant.
+///
+/// Recording is O(1): latencies append to a log whose sorted prefix only
+/// grows when an order-dependent query (a percentile, the mean, or
+/// [`satisfies`](SloWindow::satisfies)) settles it, which is why those
+/// queries take `&mut self`. Answers and snapshot bytes are identical to
+/// a window kept sorted on every insert.
 ///
 /// Queries are non-panicking: an empty window has no percentiles and
 /// reports `None`; a single observation is every percentile of itself.
@@ -147,10 +250,9 @@ impl fmt::Display for Slo {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloWindow {
-    /// Observed latencies in microseconds, kept sorted (each observe does
-    /// an insertion into position; arrival order is irrelevant to every
-    /// query this window answers).
-    lat_us: Vec<f64>,
+    /// Observed latencies in microseconds. Arrival order is irrelevant to
+    /// every query this window answers; the log sorts lazily.
+    lat_us: LatencyLog,
     bytes: u64,
 }
 
@@ -169,8 +271,7 @@ impl SloWindow {
         if !us.is_finite() {
             return;
         }
-        let at = self.lat_us.partition_point(|&l| l <= us);
-        self.lat_us.insert(at, us);
+        self.lat_us.push(us);
         self.bytes += bytes;
     }
 
@@ -181,7 +282,7 @@ impl SloWindow {
 
     /// True when the window has no observations.
     pub fn is_empty(&self) -> bool {
-        self.lat_us.is_empty()
+        self.lat_us.len() == 0
     }
 
     /// Total bytes completed in the window.
@@ -200,31 +301,33 @@ impl SloWindow {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile_latency(&self, p: f64) -> Option<Micros> {
+    pub fn percentile_latency(&mut self, p: f64) -> Option<Micros> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.lat_us.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        Some(Micros::new(percentile_of_sorted(&self.lat_us, p)))
+        Some(Micros::new(percentile_of_sorted(self.lat_us.settle(), p)))
     }
 
-    /// Mean latency, or `None` when empty.
-    pub fn mean_latency(&self) -> Option<Micros> {
-        if self.lat_us.is_empty() {
+    /// Mean latency, or `None` when empty. Sums in ascending order, so
+    /// the result does not depend on arrival order.
+    pub fn mean_latency(&mut self) -> Option<Micros> {
+        if self.is_empty() {
             return None;
         }
+        let sorted = self.lat_us.settle();
         Some(Micros::new(
-            self.lat_us.iter().sum::<f64>() / self.lat_us.len() as f64,
+            sorted.iter().sum::<f64>() / sorted.len() as f64,
         ))
     }
 
     /// p99 latency, or `None` when empty.
-    pub fn p99_latency(&self) -> Option<Micros> {
+    pub fn p99_latency(&mut self) -> Option<Micros> {
         self.percentile_latency(99.0)
     }
 
     /// p99.9 latency, or `None` when empty.
-    pub fn p999_latency(&self) -> Option<Micros> {
+    pub fn p999_latency(&mut self) -> Option<Micros> {
         self.percentile_latency(99.9)
     }
 
@@ -242,7 +345,7 @@ impl SloWindow {
     ///
     /// An empty window trivially satisfies latency ceilings (there was
     /// nothing to be late) but still fails a throughput floor.
-    pub fn satisfies(&self, slo: &Slo, elapsed: SimDuration) -> bool {
+    pub fn satisfies(&mut self, slo: &Slo, elapsed: SimDuration) -> bool {
         if let Some(floor) = slo.min_throughput() {
             if self.throughput_bps(elapsed) < floor {
                 return false;
@@ -263,14 +366,15 @@ impl SloWindow {
 }
 
 impl powadapt_snap::Snapshot for SloWindow {
+    /// Writes the latencies in ascending order without settling the log,
+    /// so a snapshot costs a sort of the unsettled tail, not of the
+    /// whole window.
     fn write_state(
         &self,
         w: &mut powadapt_snap::SnapWriter,
     ) -> Result<(), powadapt_snap::SnapError> {
         w.seq_len(self.lat_us.len());
-        for &l in &self.lat_us {
-            w.f64(l);
-        }
+        self.lat_us.for_each_sorted(|l| w.f64(l));
         w.u64(self.bytes);
         Ok(())
     }
@@ -297,7 +401,11 @@ impl powadapt_snap::Restore for SloWindow {
             }
             lat_us.push(l);
         }
-        self.lat_us = lat_us;
+        self.lat_us = LatencyLog {
+            sorted: lat_us.len(),
+            vals: lat_us,
+            merge: Vec::new(),
+        };
         self.bytes = r.u64()?;
         Ok(())
     }
@@ -348,7 +456,7 @@ mod tests {
 
     #[test]
     fn empty_window_has_no_percentiles() {
-        let w = SloWindow::new();
+        let mut w = SloWindow::new();
         assert!(w.is_empty());
         assert_eq!(w.len(), 0);
         assert_eq!(w.mean_latency(), None);
@@ -430,7 +538,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_percentile_panics() {
-        let w = SloWindow::new();
+        let mut w = SloWindow::new();
         let _ = w.percentile_latency(101.0);
     }
 
