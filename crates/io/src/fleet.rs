@@ -428,7 +428,7 @@ where
                         assert!(target < devices.len(), "router returned index {target}");
                         let dev = &mut devices[target];
                         let cap = dev.spec().capacity();
-                        let offset = a.offset.min(cap - a.len);
+                        let offset = a.offset.min(cap.saturating_sub(a.len));
                         match dev.submit(IoRequest::new(IoId(next_id), a.kind, offset, a.len)) {
                             Ok(()) => {
                                 routed[target] += 1;
@@ -709,6 +709,35 @@ mod tests {
             generated.energy_j.to_bits(),
             replayed.energy_j.to_bits(),
             "same arrivals + same meter seed = identical measurement"
+        );
+    }
+
+    #[test]
+    fn oversized_trace_arrival_is_a_typed_error() {
+        let mut devices = fleet(1);
+        let cap = devices[0].spec().capacity();
+        let trace = ArrivalTrace::new(vec![Arrival {
+            at: SimTime::ZERO,
+            kind: IoKind::Write,
+            offset: 0,
+            len: cap + 4096,
+        }])
+        .unwrap();
+        let mut router = LeastLoadedRouter::default();
+        let r = run_fleet_trace(
+            &mut devices,
+            &mut router,
+            &trace,
+            9,
+            SimDuration::from_millis(50),
+        );
+        assert!(
+            matches!(
+                r,
+                Err(ExperimentError::Device(DeviceError::OutOfRange { capacity, .. }))
+                    if capacity == cap
+            ),
+            "expected a typed OutOfRange error, got {r:?}"
         );
     }
 

@@ -63,7 +63,6 @@ fn is_shipped_source(path: &str) -> bool {
         && !path.starts_with("tests/")
         && !path.contains("/examples/")
         && !path.starts_with("examples/")
-        && !path.contains("/benches/")
 }
 
 /// Does `rule` apply to the file at `path` (workspace-relative, `/`

@@ -226,13 +226,6 @@ pub enum EventKind {
         /// limit).
         burn_rate: f64,
     },
-    /// A sharded recorder folded one shard into a merged view.
-    ShardMerged {
-        /// Shard index.
-        shard: u64,
-        /// Events the shard had recorded at merge time.
-        events: u64,
-    },
     /// The placement tier bound an extent to a replica set (place layer).
     PlacementDecision {
         /// Extent id, unique within the catalog.
@@ -297,7 +290,6 @@ impl EventKind {
         "energy_attributed",
         "conservation_violation",
         "slo_burn_alert",
-        "shard_merged",
         "placement_decision",
         "migration_started",
         "migration_completed",
@@ -345,11 +337,10 @@ impl EventKind {
             EventKind::EnergyAttributed(_) => 18,
             EventKind::ConservationViolation(_) => 19,
             EventKind::SloBurnAlert { .. } => 20,
-            EventKind::ShardMerged { .. } => 21,
-            EventKind::PlacementDecision { .. } => 22,
-            EventKind::MigrationStarted { .. } => 23,
-            EventKind::MigrationCompleted { .. } => 24,
-            EventKind::RoutedAround { .. } => 25,
+            EventKind::PlacementDecision { .. } => 21,
+            EventKind::MigrationStarted { .. } => 22,
+            EventKind::MigrationCompleted { .. } => 23,
+            EventKind::RoutedAround { .. } => 24,
         }
     }
 
@@ -409,14 +400,6 @@ mod tests {
             "power_sample"
         );
         assert_eq!(EventKind::NAMES[EventKind::SpinUp.index()], "spin_up");
-        assert_eq!(
-            EventKind::NAMES[EventKind::ShardMerged {
-                shard: 0,
-                events: 0
-            }
-            .index()],
-            "shard_merged"
-        );
         assert_eq!(
             EventKind::NAMES[EventKind::PlacementDecision {
                 extent: 0,
@@ -478,14 +461,6 @@ mod tests {
             }))
             .name(),
             "energy_attributed"
-        );
-        assert_eq!(
-            EventKind::ShardMerged {
-                shard: 2,
-                events: 9
-            }
-            .name(),
-            "shard_merged"
         );
     }
 }

@@ -186,9 +186,6 @@ fn instant_args(kind: &EventKind) -> Vec<(&'static str, String)> {
             ("tenant", jstr(tenant)),
             ("burn_rate", format!("{burn_rate:?}")),
         ],
-        EventKind::ShardMerged { shard, events } => {
-            vec![("shard", shard.to_string()), ("events", events.to_string())]
-        }
         EventKind::PlacementDecision {
             extent,
             primary,

@@ -21,9 +21,6 @@
 //!   sim-time-windowed histograms backed by mergeable log-bucket
 //!   quantile sketches ([`Sketch`], γ = [`sketch::RELATIVE_ERROR`]),
 //!   atomically snapshotable as hand-rolled deterministic JSON.
-//! - **Sharding** ([`ShardedRecorder`]): per-track event-log + registry
-//!   shards with a deterministic `(sim_time, shard_id, seq)` merge,
-//!   byte-identical at any shard count.
 //! - **Profiling & export** ([`span_totals`], [`collapsed_stacks`],
 //!   [`chrome_trace`]): sim-time span aggregation, collapsed-stack
 //!   flamegraph text, and Chrome `trace_event` JSON loadable in Perfetto
@@ -58,7 +55,6 @@ mod export;
 mod intern;
 mod metrics;
 mod recorder;
-mod shard;
 pub mod sketch;
 mod span;
 mod trace;
@@ -71,7 +67,6 @@ pub use export::{chrome_trace, events_jsonl};
 pub use intern::intern;
 pub use metrics::{metrics, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{current, install, uninstall, EventLog, Recorder, RecorderHandle};
-pub use shard::{MergedTrace, ShardedRecorder};
 pub use sketch::{Sketch, WindowedSketch};
 pub use span::{collapsed_stacks, span_totals, SpanStat};
 pub use trace::{event_counts_json, TraceConfig, TraceMode, TraceRecorder, TraceSession};

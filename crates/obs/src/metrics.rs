@@ -9,10 +9,8 @@
 //!
 //! Histograms are [`Sketch`]es (log-bucket quantile sketches, γ =
 //! [`crate::sketch::RELATIVE_ERROR`]) rather than stored-sample lists:
-//! memory is O(buckets) regardless of stream length, the observe path
-//! allocates nothing in steady state, and two registries merge
-//! deterministically ([`MetricsRegistry::merge_from`]) — the property the
-//! sharded recorder is built on.
+//! memory is O(buckets) regardless of stream length and the observe path
+//! allocates nothing in steady state.
 
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -206,36 +204,6 @@ impl MetricsRegistry {
                     })
                 })
                 .collect(),
-        }
-    }
-
-    /// Folds another registry into this one — the shard-merge primitive.
-    ///
-    /// Counters add exactly; histograms merge by sketch bucket addition
-    /// (associative, commutative, byte-stable). Same-name histograms with
-    /// incompatible window configurations keep this registry's — a config
-    /// mismatch is a caller bug, and keeping the receiver is the
-    /// deterministic resolution. Gauges are **not** merged here: a gauge
-    /// is last-writer-wins and only a caller that knows the event order
-    /// (the sharded recorder) can pick the winner; see
-    /// `ShardedRecorder::merged`.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        let theirs = other.lock();
-        let mut mine = self.lock();
-        for (k, &v) in &theirs.counters {
-            *mine.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &theirs.histograms {
-            match (mine.histograms.get_mut(k), h) {
-                (Some(Histogram::Plain(s)), Histogram::Plain(o)) => s.merge_from(o),
-                (Some(Histogram::Windowed(w)), Histogram::Windowed(o)) => {
-                    let _ = w.merge_from(o);
-                }
-                (Some(_), _) => {} // kind mismatch: keep the receiver's
-                (None, _) => {
-                    mine.histograms.insert(k.clone(), h.clone());
-                }
-            }
         }
     }
 
@@ -523,27 +491,6 @@ mod tests {
         assert_eq!(h.count, 2); // the slice holding t=0 expired by t=200
         assert_eq!(h.min, 2.0);
         assert_eq!(h.max, 3.0);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_histograms() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.inc("ios", 3);
-        b.inc("ios", 4);
-        b.inc("only_b", 1);
-        for i in 0..10 {
-            a.observe("lat", SimTime::from_nanos(i), i as f64 + 1.0);
-            b.observe("lat", SimTime::from_nanos(i), i as f64 + 101.0);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.counter("ios"), 7);
-        assert_eq!(a.counter("only_b"), 1);
-        let snap = a.snapshot();
-        let h = &snap.histograms[0];
-        assert_eq!(h.count, 20);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 110.0);
     }
 
     #[test]

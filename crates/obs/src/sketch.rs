@@ -11,8 +11,8 @@
 //!   representation (exponent + top mantissa bits), never `ln`/`exp`, so
 //!   the bucket of a value is identical on every platform;
 //! - **merge is exact integer addition** of bucket counts — associative,
-//!   commutative, with the empty sketch as identity — so shard merges are
-//!   byte-stable regardless of merge order or shard count;
+//!   commutative, with the empty sketch as identity — so merges are
+//!   byte-stable regardless of merge order or how the stream was split;
 //! - **min/max are tracked exactly** (canonicalized so `-0.0` and NaN
 //!   cannot introduce order-dependent ties), and every estimated
 //!   percentile is clamped into `[min, max]`.

@@ -68,7 +68,7 @@ impl TraceRecorder {
 /// Publishes the log's per-kind totals as `events.<kind>` counters.
 /// Called at read time (snapshots, exports) so the record path pays for
 /// one dense array add per event instead of a keyed counter update.
-pub(crate) fn sync_event_counters(log: &EventLog, metrics: &MetricsRegistry) {
+fn sync_event_counters(log: &EventLog, metrics: &MetricsRegistry) {
     for (name, n) in log.counts() {
         metrics.set_counter(&format!("events.{name}"), n);
     }
@@ -76,14 +76,11 @@ pub(crate) fn sync_event_counters(log: &EventLog, metrics: &MetricsRegistry) {
 
 /// Folds one event into a registry: the derived histograms
 /// (`io.latency_us`, `power.watts`), the IO byte counters, and the
-/// controller gauges. Shared by [`TraceRecorder`] and the sharded
-/// recorder so a merged shard view derives *exactly* what an unsharded
-/// recorder would. The `events.<kind>` counters are *not* derived here —
-/// they mirror the event log's totals and are synced lazily at read time
-/// ([`sync_event_counters`]); most kinds therefore never touch the
-/// registry on the hot path. Gauge-writing kinds must stay in sync with
-/// [`gauge_writes`].
-pub(crate) fn derive_event_metrics(metrics: &MetricsRegistry, event: &Event) {
+/// controller gauges. The `events.<kind>` counters are *not* derived
+/// here — they mirror the event log's totals and are synced lazily at
+/// read time ([`sync_event_counters`]); most kinds therefore never touch
+/// the registry on the hot path.
+fn derive_event_metrics(metrics: &MetricsRegistry, event: &Event) {
     match &event.kind {
         EventKind::IoComplete {
             dir, len, latency, ..
@@ -107,29 +104,6 @@ pub(crate) fn derive_event_metrics(metrics: &MetricsRegistry, event: &Event) {
             metrics.set_gauge("controller.quarantined", d.quarantined.len() as f64);
         }
         _ => {}
-    }
-}
-
-/// The gauge writes the kind performs via [`derive_event_metrics`] — the
-/// sharded recorder tracks last-writer-in-total-order metadata for
-/// exactly these `(name, value)` pairs.
-pub(crate) fn gauge_writes(kind: &EventKind) -> Vec<(String, f64)> {
-    match kind {
-        EventKind::ControllerDecision(d) => vec![
-            ("controller.budget_w".to_string(), d.budget_w),
-            (
-                "controller.expected_power_w".to_string(),
-                d.expected_power_w,
-            ),
-            (
-                "controller.quarantined".to_string(),
-                d.quarantined.len() as f64,
-            ),
-        ],
-        EventKind::EnergyAttributed(e) => {
-            vec![(format!("energy.stranded_w.{}", e.node), e.stranded_w)]
-        }
-        _ => Vec::new(),
     }
 }
 

@@ -1,5 +1,5 @@
 //! Property tests for the mergeable quantile sketch: the algebraic laws
-//! the sharded recorder's determinism rests on (merge is associative,
+//! a deterministic merge rests on (merge is associative,
 //! commutative, with the empty sketch as identity — all up to *byte
 //! equality* of the canonical snapshot form), the advertised relative
 //! error bound against exact sample percentiles, and byte-stability of
