@@ -1,7 +1,7 @@
 //! Figure 7: 860 EVO power during standby (ALPM SLUMBER) transitions, plus
 //! the §3.2.2 HDD spin-down/spin-up measurements.
 
-use powadapt_device::{catalog, StandbyState, StorageDevice};
+use powadapt_device::{catalog, drain, StandbyState, StorageDevice};
 use powadapt_meter::{MeasurementChain, Oscilloscope, PowerRig, PowerTrace, Trigger};
 use powadapt_sim::{SimDuration, SimRng, SimTime};
 
@@ -95,16 +95,12 @@ pub fn run(seed: u64) {
     let idle_w = hdd.power_w();
     hdd.request_standby().expect("idle HDD accepts standby");
     let t0 = hdd.now();
-    while let Some(t) = hdd.next_event() {
-        hdd.advance_to(t);
-    }
+    drain(&mut hdd);
     let down = hdd.now().duration_since(t0);
     let standby_w = hdd.power_w();
     hdd.request_wake().expect("wake accepted");
     let t1 = hdd.now();
-    while let Some(t) = hdd.next_event() {
-        hdd.advance_to(t);
-    }
+    drain(&mut hdd);
     let up = hdd.now().duration_since(t1);
     println!(
         "  idle {idle_w:.2} W -> standby {standby_w:.2} W (saves {:.2} W)",
@@ -119,9 +115,7 @@ pub fn run(seed: u64) {
     println!("Oscilloscope zoom: 860 EVO wake edge at 100 kHz (rig is 1 kHz):");
     let mut evo = catalog::evo_860(seed);
     evo.request_standby().expect("idle device sleeps");
-    while let Some(t) = evo.next_event() {
-        evo.advance_to(t);
-    }
+    drain(&mut evo);
     let mut rng = SimRng::seed_from(seed ^ 0x5c09e);
     let chain = MeasurementChain::paper_rig(5.0, &mut rng);
     let mut scope = Oscilloscope::new(chain, rng.fork(), 100_000.0, 40, Trigger::Rising(0.8));

@@ -1,6 +1,6 @@
 //! Table 1: evaluated storage devices and their measured power ranges.
 
-use powadapt_device::{catalog, KIB, MIB};
+use powadapt_device::{catalog, drain, KIB, MIB};
 use powadapt_io::{run_cells, run_experiment, JobSpec, ParallelConfig, SweepScale, Workload};
 use powadapt_meter::PowerRig;
 use powadapt_sim::{SimDuration, SimRng};
@@ -58,9 +58,7 @@ pub fn measure_device(label: &str, scale: SweepScale, seed: u64) -> Row {
     lo = lo.min(dev.power_w());
     if dev.standby_power_w().is_some() {
         dev.request_standby().expect("idle device accepts standby");
-        while let Some(t) = dev.next_event() {
-            dev.advance_to(t);
-        }
+        drain(dev.as_mut());
         // Meter the standby level through the rig like any other segment.
         let mut rng = SimRng::seed_from(seed ^ 0xabcd);
         let mut rig = PowerRig::paper_rig(5.0, &mut rng);

@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 use powadapt_cluster::ClusterReport;
 use powadapt_core::AdaptiveController;
-use powadapt_device::{catalog, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB};
+use powadapt_device::{
+    catalog, drain, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB,
+};
 use powadapt_io::{
     run_fleet, AccessPattern, Arrivals, BreakerConfig, CircuitBreakerRouter, LeastLoadedRouter,
     OpenLoopSpec, ParallelConfig, SweepScale, Workload,
@@ -220,15 +222,11 @@ fn fig7_summary(seed: u64) -> String {
     let mut hdd = catalog::hdd_exos_7e2000(seed);
     hdd.request_standby().expect("idle HDD accepts standby");
     let t0 = hdd.now();
-    while let Some(t) = hdd.next_event() {
-        hdd.advance_to(t);
-    }
+    drain(&mut hdd);
     let spin_down = hdd.now().duration_since(t0);
     hdd.request_wake().expect("wake accepted");
     let t1 = hdd.now();
-    while let Some(t) = hdd.next_event() {
-        hdd.advance_to(t);
-    }
+    drain(&mut hdd);
     let spin_up = hdd.now().duration_since(t1);
 
     let rows = vec![
@@ -384,10 +382,7 @@ fn traced_controller_rounds() {
     for budget_w in [30.0, 11.0, 30.0] {
         let _ = ctl.apply_budget(budget_w).expect("feasible budget");
         for i in 0..2 {
-            let d = ctl.device_mut(i);
-            while let Some(t) = d.next_event() {
-                d.advance_to(t);
-            }
+            drain(ctl.device_mut(i));
         }
     }
 }

@@ -35,7 +35,7 @@ pub fn factory_for(label: &str, seed: u64) -> impl Fn() -> Box<dyn StorageDevice
 
 /// The scale benchmarks run at, controlled by the `POWADAPT_SCALE`
 /// environment variable: `paper` (60 s / 4 GiB, slow), `full` (4 s / 2 GiB),
-/// or anything else / unset for `quick` (1.5 s / 1 GiB).
+/// or anything else / unset for `quick` (1.2 s / 4 GiB, 200 ms ramp).
 pub fn bench_scale() -> SweepScale {
     // powadapt-lint: allow(D1, reason = "operator-facing scale knob like POWADAPT_WORKERS; at any fixed scale results are bit-identical, and the goldens pin the default")
     match std::env::var("POWADAPT_SCALE").as_deref() {
@@ -55,19 +55,46 @@ pub fn bench_scale() -> SweepScale {
 
 /// Applies a `--workers N` (or `-j N`, `--workers=N`) CLI flag by setting
 /// `POWADAPT_WORKERS` for this process, so every sweep picks it up through
-/// [`powadapt_io::ParallelConfig::from_env`]. Unrelated arguments are
-/// ignored; the last occurrence wins.
+/// [`powadapt_io::ParallelConfig::from_env`]. A missing or non-integer
+/// value prints a usage message and exits 2.
 pub fn apply_cli_workers() {
-    let mut args = std::env::args().skip(1);
+    match parse_cli_workers(std::env::args().skip(1)) {
+        Ok(Some(n)) => std::env::set_var("POWADAPT_WORKERS", n.to_string()),
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("{e}\nusage: --workers N   (N >= 0; 0 = one worker per core)");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses the worker count from CLI arguments (program name excluded):
+/// `--workers N`, `-j N` or `--workers=N`, where `N` is a non-negative
+/// integer (`0` means one worker per core). Unrelated arguments are
+/// ignored and the last occurrence wins; `Ok(None)` means the flag is
+/// absent.
+///
+/// # Errors
+///
+/// Returns a message naming the flag when its value is missing or is not
+/// a non-negative integer.
+fn parse_cli_workers(args: impl IntoIterator<Item = String>) -> Result<Option<usize>, String> {
+    let mut args = args.into_iter();
+    let mut workers = None;
     while let Some(a) = args.next() {
         let value = match a.as_str() {
-            "--workers" | "-j" => args.next(),
+            "--workers" | "-j" => Some(args.next().ok_or_else(|| format!("{a} needs a value"))?),
             _ => a.strip_prefix("--workers=").map(str::to_string),
         };
         if let Some(v) = value {
-            std::env::set_var("POWADAPT_WORKERS", v.trim());
+            let n = v
+                .trim()
+                .parse::<usize>()
+                .map_err(|_| format!("{a}: expected a non-negative integer, got {v:?}"))?;
+            workers = Some(n);
         }
     }
+    Ok(workers)
 }
 
 /// Returns the value of a `--name VALUE` or `--name=VALUE` CLI flag, if
@@ -146,6 +173,29 @@ mod tests {
     #[should_panic(expected = "unknown device label")]
     fn unknown_label_panics() {
         let _ = factory_for("SSD9", 1);
+    }
+
+    fn workers(args: &[&str]) -> Result<Option<usize>, String> {
+        parse_cli_workers(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn cli_workers_accepts_non_negative_integers() {
+        assert_eq!(workers(&[]), Ok(None));
+        assert_eq!(workers(&["--check", "f.json"]), Ok(None));
+        assert_eq!(workers(&["--workers", "4"]), Ok(Some(4)));
+        assert_eq!(workers(&["-j", "0"]), Ok(Some(0)));
+        assert_eq!(workers(&["--workers=2", "-j", "8"]), Ok(Some(8)));
+    }
+
+    #[test]
+    fn cli_workers_rejects_junk_and_missing_values() {
+        assert!(workers(&["--workers", "abc"]).is_err());
+        assert!(workers(&["--workers=-1"]).is_err());
+        assert!(workers(&["--workers="]).is_err());
+        assert!(workers(&["-j", "2.5"]).is_err());
+        assert!(workers(&["--workers"]).is_err());
+        assert!(workers(&["--workers", "4", "-j"]).is_err());
     }
 
     #[test]

@@ -102,10 +102,6 @@ impl StorageDevice for Counted {
         bump(&self.counts.next_event);
         self.inner.next_event()
     }
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        bump(&self.counts.advance);
-        self.inner.advance_to(t)
-    }
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         bump(&self.counts.advance);
         self.inner.advance_to_into(t, out);

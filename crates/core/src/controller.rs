@@ -633,7 +633,7 @@ impl AdaptiveController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powadapt_device::{catalog, PowerStateId, KIB};
+    use powadapt_device::{catalog, drain, PowerStateId, KIB};
     use powadapt_io::Workload;
 
     fn mk(device: &str, ps: u8, power: f64, thr: f64) -> ConfigPoint {
@@ -744,10 +744,7 @@ mod tests {
         assert!(matches!(plan.actions[1].1, DeviceAction::Operate(_)));
         // Drive the HDD through its pending transitions: it finishes the
         // spin-down it had started, then honors the wake and spins back up.
-        let hdd = ctl.device_mut(1);
-        while let Some(t) = hdd.next_event() {
-            hdd.advance_to(t);
-        }
+        drain(ctl.device_mut(1));
         assert_eq!(ctl.devices()[1].standby_state(), StandbyState::Active);
     }
 
@@ -782,10 +779,7 @@ mod tests {
         ctl.set_pinned_standby(1, false);
         let plan = ctl.apply_budget(30.0).unwrap();
         assert!(matches!(plan.actions[1].1, DeviceAction::Operate(_)));
-        let hdd = ctl.device_mut(1);
-        while let Some(t) = hdd.next_event() {
-            hdd.advance_to(t);
-        }
+        drain(ctl.device_mut(1));
         assert_eq!(ctl.devices()[1].standby_state(), StandbyState::Active);
     }
 

@@ -59,27 +59,28 @@ pub trait StorageDevice: fmt::Debug {
     fn next_event(&mut self) -> Option<SimTime>;
 
     /// Advances the device to time `t`, processing all internal events up to
-    /// and including `t`, and returns the completions that occurred.
+    /// and including `t`, and appends the completions that occurred to
+    /// `out`.
+    ///
+    /// Experiment loops call this once per event step and reuse `out`
+    /// across steps, so implementations drain their internal completion
+    /// arena into it without allocating.
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than [`StorageDevice::now`].
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion>;
+    fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>);
 
-    /// Advances the device to time `t` like [`StorageDevice::advance_to`],
-    /// appending completions to `out` instead of returning a fresh vector.
-    ///
-    /// Experiment loops call this once per event step, so the in-repo
-    /// devices override it to drain their internal completion arena
-    /// without allocating; the caller's buffer is reused across steps.
-    /// The default delegates to `advance_to`, keeping third-party device
-    /// types valid.
+    /// Like [`StorageDevice::advance_to_into`], returning the completions
+    /// in a fresh vector.
     ///
     /// # Panics
     ///
     /// Panics if `t` is earlier than [`StorageDevice::now`].
-    fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
-        out.extend(self.advance_to(t));
+    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
+        let mut out = Vec::new();
+        self.advance_to_into(t, &mut out);
+        out
     }
 
     /// Instantaneous power draw in watts at the device's current time.
@@ -207,12 +208,13 @@ pub trait StorageDevice: fmt::Debug {
 
 /// Runs a device until it has no pending work, returning all completions.
 ///
-/// Convenience for tests and simple examples; experiment runners interleave
+/// For callers that need only the end state (a finished standby or wake
+/// transition, a test's completions); experiment runners interleave
 /// metering and submission instead.
 pub fn drain(device: &mut dyn StorageDevice) -> Vec<IoCompletion> {
     let mut out = Vec::new();
     while let Some(t) = device.next_event() {
-        out.extend(device.advance_to(t));
+        device.advance_to_into(t, &mut out);
     }
     out
 }

@@ -375,12 +375,6 @@ impl StorageDevice for FaultInjector {
         }
     }
 
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(t, &mut out);
-        out
-    }
-
     // powadapt-lint: hot
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         // powadapt-lint: allow(d9, reason = "spike-release path allocates only when spiked completions are held; rare by construction")

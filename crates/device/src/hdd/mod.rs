@@ -537,12 +537,6 @@ impl StorageDevice for Hdd {
         self.events.next_time()
     }
 
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(t, &mut out);
-        out
-    }
-
     // powadapt-lint: hot
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         assert!(

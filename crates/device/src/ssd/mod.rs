@@ -874,12 +874,6 @@ impl StorageDevice for Ssd {
         self.events.next_time()
     }
 
-    fn advance_to(&mut self, t: SimTime) -> Vec<IoCompletion> {
-        let mut out = Vec::new();
-        self.advance_to_into(t, &mut out);
-        out
-    }
-
     // powadapt-lint: hot
     fn advance_to_into(&mut self, t: SimTime, out: &mut Vec<IoCompletion>) {
         assert!(
@@ -1564,14 +1558,10 @@ mod tests {
         cfg.noise_sd_w = 0.0;
         let mut dev = Ssd::new(spec, cfg, 3);
         dev.request_standby().unwrap();
-        while let Some(t) = dev.next_event() {
-            dev.advance_to(t);
-        }
+        drain(&mut dev);
         assert_eq!(dev.standby_state(), StandbyState::Standby);
         dev.request_wake().unwrap();
-        while let Some(t) = dev.next_event() {
-            dev.advance_to(t);
-        }
+        drain(&mut dev);
         assert_eq!(dev.standby_state(), StandbyState::Active);
     }
 

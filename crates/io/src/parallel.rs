@@ -1,4 +1,4 @@
-//! Work-stealing parallel execution of independent sweep cells.
+//! Parallel execution of independent sweep cells.
 //!
 //! Every figure in the paper is a sweep over independent configurations, so
 //! the executor's contract is simple and strict: cells are identified by a
@@ -10,15 +10,13 @@
 //! [`SimRng::stream_seed`](powadapt_sim::SimRng::stream_seed)), never from
 //! shared generator state.
 //!
-//! The scheduler is a contiguous-range work-stealing design on
-//! [`std::thread::scope`] — no external dependencies: the index space is
-//! split into one contiguous block per worker; a worker drains its own
-//! block from the front in `chunk`-sized bites and, when empty, steals the
-//! back half of the largest remaining block. Contiguous ranges keep both
-//! the common case (one uncontended lock per bite) and the steal path
-//! cheap, and idle workers converge onto whatever work is left.
+//! Scheduling is one shared counter on [`std::thread::scope`] — no external
+//! dependencies: each worker claims the next unclaimed index with a
+//! `fetch_add` and runs that cell. Sweep cells are whole experiments
+//! (milliseconds to seconds each), so claiming one at a time is free and
+//! gives greedy load balance: a worker never idles while a cell is left.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// How a sweep is spread across threads.
@@ -26,34 +24,23 @@ use std::time::{Duration, Instant};
 pub struct ParallelConfig {
     /// Number of worker threads (1 = run inline on the calling thread).
     pub workers: usize,
-    /// Cells a worker claims from its own queue per bite. Larger chunks
-    /// amortize locking; smaller chunks balance heterogeneous cell costs.
-    pub chunk: usize,
 }
 
 impl ParallelConfig {
     /// Strictly sequential execution on the calling thread.
     pub fn sequential() -> Self {
-        ParallelConfig {
-            workers: 1,
-            chunk: 1,
-        }
+        ParallelConfig { workers: 1 }
     }
 
-    /// `workers` threads with the default chunk of 1 (best load balance;
-    /// sweep cells are heavy enough that per-bite locking is noise).
-    ///
-    /// `workers == 0` is normalized to 1.
+    /// `workers` threads; `workers == 0` is normalized to 1.
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig {
             workers: workers.max(1),
-            chunk: 1,
         }
     }
 
-    /// Reads the configuration from the environment:
-    /// `POWADAPT_WORKERS` sets the worker count (`0` or unset means "one
-    /// per available CPU"), `POWADAPT_CHUNK` the claim granularity.
+    /// Reads the worker count from `POWADAPT_WORKERS` (`0` or unset means
+    /// "one per available CPU").
     pub fn from_env() -> Self {
         let workers = match std::env::var("POWADAPT_WORKERS")
             .ok()
@@ -62,71 +49,13 @@ impl ParallelConfig {
             Some(n) if n > 0 => n,
             _ => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         };
-        let chunk = std::env::var("POWADAPT_CHUNK")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(1);
-        ParallelConfig { workers, chunk }
+        ParallelConfig { workers }
     }
 }
 
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig::from_env()
-    }
-}
-
-/// What one worker did during a sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Cells this worker executed.
-    pub cells: u64,
-    /// Steals this worker performed (it ran out and took work from a peer).
-    pub steals: u64,
-}
-
-/// Execution report of one sweep.
-#[derive(Debug, Clone)]
-pub struct SweepStats {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Total cells executed.
-    pub cells: usize,
-    /// Wall-clock time of the sweep.
-    pub elapsed: Duration,
-    /// Per-worker breakdown, in worker order.
-    pub per_worker: Vec<WorkerStats>,
-}
-
-impl SweepStats {
-    /// Aggregate throughput in cells per second (0 for an instant sweep).
-    pub fn cells_per_sec(&self) -> f64 {
-        let s = self.elapsed.as_secs_f64();
-        if s > 0.0 {
-            self.cells as f64 / s
-        } else {
-            0.0
-        }
-    }
-
-    /// Total steals across all workers.
-    pub fn steals(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.steals).sum()
-    }
-}
-
-impl std::fmt::Display for SweepStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} cells on {} workers in {:.2?} ({:.1} cells/s, {} steals)",
-            self.cells,
-            self.workers,
-            self.elapsed,
-            self.cells_per_sec(),
-            self.steals()
-        )
     }
 }
 
@@ -142,8 +71,6 @@ pub struct SessionStats {
     pub sweeps: u64,
     /// Cells executed across all sweeps.
     pub cells: u64,
-    /// Steals across all sweeps.
-    pub steals: u64,
     /// Summed wall-clock time of all sweeps.
     pub elapsed: Duration,
 }
@@ -164,19 +91,18 @@ impl std::fmt::Display for SessionStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} sweeps, {} cells in {:.2?} ({:.1} cells/s, {} steals)",
+            "{} sweeps, {} cells in {:.2?} ({:.1} cells/s)",
             self.sweeps,
             self.cells,
             self.elapsed,
-            self.cells_per_sec(),
-            self.steals
+            self.cells_per_sec()
         )
     }
 }
 
 /// Snapshot of the process-wide executor counters.
 ///
-/// The four counters are read from one registry snapshot, so they are
+/// The three counters are read from one registry snapshot, so they are
 /// mutually consistent even while sweeps run on other threads — a sweep's
 /// whole contribution is either fully visible or not visible at all.
 pub fn session_stats() -> SessionStats {
@@ -184,30 +110,7 @@ pub fn session_stats() -> SessionStats {
     SessionStats {
         sweeps: snap.counter("executor.sweeps"),
         cells: snap.counter("executor.cells"),
-        steals: snap.counter("executor.steals"),
         elapsed: Duration::from_nanos(snap.counter("executor.busy_nanos")),
-    }
-}
-
-/// Resets the process-wide executor counters (tests, repeated benches).
-///
-/// Atomic with respect to [`session_stats`] and concurrent sweeps: the
-/// `executor.` counters are dropped in one registry operation.
-pub fn reset_session_stats() {
-    powadapt_obs::metrics().remove_prefix("executor.");
-}
-
-/// One worker's claim on the shared index space: the half-open range
-/// `[lo, hi)` of cell indices it still owns.
-#[derive(Debug, Clone, Copy)]
-struct Block {
-    lo: usize,
-    hi: usize,
-}
-
-impl Block {
-    fn len(&self) -> usize {
-        self.hi - self.lo
     }
 }
 
@@ -215,18 +118,9 @@ impl Block {
 ///
 /// `f(index, &cells[index])` must be a pure function of its arguments (plus
 /// any immutable captured state); under that contract the result vector is
-/// bit-identical for every `cfg`. Panics in `f` propagate to the caller.
+/// bit-identical for every `cfg`. A panic in `f` propagates to the caller
+/// with its original payload.
 pub fn run_cells<C, T, F>(cells: &[C], cfg: &ParallelConfig, f: F) -> Vec<T>
-where
-    C: Sync,
-    T: Send,
-    F: Fn(usize, &C) -> T + Sync,
-{
-    run_cells_stats(cells, cfg, f).0
-}
-
-/// Like [`run_cells`], also returning the execution report.
-pub fn run_cells_stats<C, T, F>(cells: &[C], cfg: &ParallelConfig, f: F) -> (Vec<T>, SweepStats)
 where
     C: Sync,
     T: Send,
@@ -234,179 +128,55 @@ where
 {
     let n = cells.len();
     let workers = cfg.workers.max(1).min(n.max(1));
-    let chunk = cfg.chunk.max(1);
     let start = Instant::now();
 
-    let (out, per_worker) = if workers <= 1 {
-        let out: Vec<T> = cells.iter().enumerate().map(|(i, c)| f(i, c)).collect();
-        (
-            out,
-            vec![WorkerStats {
-                cells: n as u64,
-                steals: 0,
-            }],
-        )
+    let out: Vec<T> = if workers <= 1 {
+        cells.iter().enumerate().map(|(i, c)| f(i, c)).collect()
     } else {
-        run_stealing(cells, workers, chunk, &f)
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, T)> = Vec::with_capacity(n);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(cell) = cells.get(i) else { break };
+                            mine.push((i, f(i, cell)));
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for h in handles {
+                match h.join() {
+                    Ok(mine) => done.extend(mine),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+        });
+        // The counter hands out each index below `n` exactly once, so
+        // sorting by index restores cell order.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, t)| t).collect()
     };
 
-    let stats = SweepStats {
-        workers,
-        cells: n,
-        elapsed: start.elapsed(),
-        per_worker,
-    };
     // One registry call so a concurrent session_stats() snapshot sees this
     // sweep's counters all-or-nothing, never a torn mix.
     powadapt_obs::metrics().inc_many(&[
         ("executor.sweeps", 1),
         ("executor.cells", n as u64),
-        ("executor.steals", stats.steals()),
-        ("executor.busy_nanos", stats.elapsed.as_nanos() as u64),
+        ("executor.busy_nanos", start.elapsed().as_nanos() as u64),
     ]);
-    if std::env::var_os("POWADAPT_PROGRESS").is_some() {
-        eprintln!("[powadapt] sweep: {stats}");
-    }
-    (out, stats)
-}
-
-fn run_stealing<C, T, F>(
-    cells: &[C],
-    workers: usize,
-    chunk: usize,
-    f: &F,
-) -> (Vec<T>, Vec<WorkerStats>)
-where
-    C: Sync,
-    T: Send,
-    F: Fn(usize, &C) -> T + Sync,
-{
-    let n = cells.len();
-    // One contiguous block per worker; the remainder spreads over the
-    // first `n % workers` blocks so sizes differ by at most one.
-    let queues: Vec<Mutex<Block>> = (0..workers)
-        .map(|w| {
-            let base = n / workers;
-            let extra = n % workers;
-            let lo = w * base + w.min(extra);
-            let hi = lo + base + usize::from(w < extra);
-            Mutex::new(Block { lo, hi })
-        })
-        .collect();
-
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let mut stats = vec![WorkerStats::default(); workers];
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let queues = &queues;
-            handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, T)> = Vec::new();
-                let mut me = WorkerStats::default();
-                loop {
-                    // Claim a bite from my own block.
-                    let bite = {
-                        // powadapt-lint: allow(D5, reason = "a poisoned queue lock means a worker already panicked; propagating is correct")
-                        let mut q = queues[w].lock().expect("queue lock");
-                        if q.lo < q.hi {
-                            let lo = q.lo;
-                            q.lo = (lo + chunk).min(q.hi);
-                            Some(Block { lo, hi: q.lo })
-                        } else {
-                            None
-                        }
-                    };
-                    let bite = match bite {
-                        Some(b) => b,
-                        // Out of local work: steal the back half of the
-                        // largest remaining block and make it mine.
-                        None => match steal(queues, w) {
-                            Some(b) => {
-                                me.steals += 1;
-                                // powadapt-lint: allow(D5, reason = "a poisoned queue lock means a worker already panicked; propagating is correct")
-                                let mut q = queues[w].lock().expect("queue lock");
-                                *q = Block {
-                                    lo: (b.lo + chunk).min(b.hi),
-                                    hi: b.hi,
-                                };
-                                Block {
-                                    lo: b.lo,
-                                    hi: (b.lo + chunk).min(b.hi),
-                                }
-                            }
-                            None => break,
-                        },
-                    };
-                    for (i, cell) in cells.iter().enumerate().take(bite.hi).skip(bite.lo) {
-                        done.push((i, f(i, cell)));
-                        me.cells += 1;
-                    }
-                }
-                (done, me)
-            }));
-        }
-        for (w, h) in handles.into_iter().enumerate() {
-            // powadapt-lint: allow(D5, reason = "join fails only when the worker panicked; re-raising preserves the original panic")
-            let (done, me) = h.join().expect("worker panicked");
-            stats[w] = me;
-            for (i, t) in done {
-                results[i] = Some(t);
-            }
-        }
-    });
-
-    let out: Vec<T> = results
-        .into_iter()
-        .enumerate()
-        // powadapt-lint: allow(D5, reason = "executor contract: the blocks partition the index space, so every cell ran; verified by the golden equivalence tests")
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {i} never executed")))
-        .collect();
-    (out, stats)
-}
-
-/// Takes the back half (at least one cell) of the largest remaining block
-/// owned by any worker other than `thief`. Returns the stolen range.
-fn steal(queues: &[Mutex<Block>], thief: usize) -> Option<Block> {
-    // Pick the victim with the most remaining work (snapshot scan), then
-    // re-check under its lock; retry while any work is visible.
-    loop {
-        let mut victim = None;
-        let mut most = 0usize;
-        for (i, q) in queues.iter().enumerate() {
-            if i == thief {
-                continue;
-            }
-            // powadapt-lint: allow(D5, reason = "a poisoned queue lock means a worker already panicked; propagating is correct")
-            let remaining = q.lock().expect("queue lock").len();
-            if remaining > most {
-                most = remaining;
-                victim = Some(i);
-            }
-        }
-        let v = victim?;
-        // powadapt-lint: allow(D5, reason = "a poisoned queue lock means a worker already panicked; propagating is correct")
-        let mut q = queues[v].lock().expect("queue lock");
-        let remaining = q.len();
-        if remaining == 0 {
-            // Lost the race; rescan for another victim.
-            continue;
-        }
-        let take = remaining.div_ceil(2);
-        let stolen = Block {
-            lo: q.hi - take,
-            hi: q.hi,
-        };
-        q.hi = stolen.lo;
-        return Some(stolen);
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use powadapt_sim::SimRng;
+    use std::sync::atomic::AtomicU32;
 
     fn cell_work(index: usize, seed_root: u64) -> u64 {
         // A stand-in for an experiment: a deterministic draw stream seeded
@@ -418,13 +188,11 @@ mod tests {
     #[test]
     fn results_are_in_cell_order_and_complete() {
         let cells: Vec<usize> = (0..37).collect();
-        let (out, stats) = run_cells_stats(&cells, &ParallelConfig::with_workers(4), |i, &c| {
+        let out = run_cells(&cells, &ParallelConfig::with_workers(4), |i, &c| {
             assert_eq!(i, c);
             i * 10
         });
         assert_eq!(out, (0..37).map(|i| i * 10).collect::<Vec<_>>());
-        assert_eq!(stats.cells, 37);
-        assert_eq!(stats.per_worker.iter().map(|w| w.cells).sum::<u64>(), 37);
     }
 
     #[test]
@@ -442,37 +210,23 @@ mod tests {
     }
 
     #[test]
-    fn chunking_does_not_change_results() {
-        let cells: Vec<u32> = (0..40).collect();
-        let run = |chunk| {
-            let cfg = ParallelConfig { workers: 4, chunk };
-            run_cells(&cells, &cfg, |i, _| cell_work(i, 7))
-        };
-        assert_eq!(run(1), run(3));
-        assert_eq!(run(1), run(64));
-    }
-
-    #[test]
     fn empty_and_single_cell_sweeps_work() {
         let none: Vec<u8> = Vec::new();
-        let (out, stats) = run_cells_stats(&none, &ParallelConfig::with_workers(8), |_, _| 1);
+        let out = run_cells(&none, &ParallelConfig::with_workers(8), |_, _| 1);
         assert!(out.is_empty());
-        assert_eq!(stats.cells, 0);
         let one = [42u8];
         let out = run_cells(&one, &ParallelConfig::with_workers(8), |_, &c| c as u32);
         assert_eq!(out, vec![42]);
     }
 
     #[test]
-    fn uneven_cell_costs_get_stolen() {
-        // Front-loaded cost: worker 0's block is far slower, so with chunk
-        // 1 the other workers must steal to finish.
+    fn every_cell_runs_exactly_once() {
+        // Front-loaded cost so workers finish at very different times and
+        // race on the shared counter for the cheap tail.
         let cells: Vec<u64> = (0..64).map(|i| if i < 8 { 400_000 } else { 100 }).collect();
-        let cfg = ParallelConfig {
-            workers: 8,
-            chunk: 1,
-        };
-        let (out, stats) = run_cells_stats(&cells, &cfg, |i, &spin| {
+        let runs: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let out = run_cells(&cells, &ParallelConfig::with_workers(8), |i, &spin| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
             let mut acc = 0u64;
             for k in 0..spin {
                 acc = acc.wrapping_mul(31).wrapping_add(k ^ i as u64);
@@ -480,9 +234,17 @@ mod tests {
             acc
         });
         assert_eq!(out.len(), 64);
-        // Steal accounting is exact under contention: every steal recorded
-        // corresponds to a real transfer, and all cells ran exactly once.
-        assert_eq!(stats.per_worker.iter().map(|w| w.cells).sum::<u64>(), 64);
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 13 exploded")]
+    fn cell_panic_keeps_its_message() {
+        let cells: Vec<usize> = (0..32).collect();
+        let _ = run_cells(&cells, &ParallelConfig::with_workers(4), |i, _| {
+            assert!(i != 13, "cell {i} exploded");
+            i
+        });
     }
 
     #[test]

@@ -21,10 +21,10 @@ use crate::lexer::{Lexed, Tok, TokKind};
 pub const FILE_ALLOWLIST: &[(&str, RuleId, &str)] = &[
     (
         // The executor is the one component whose job is wall-clock timing
-        // (progress reporting, speedup measurement) and host configuration
-        // (POWADAPT_WORKERS/POWADAPT_CHUNK). Nothing it derives from the
-        // clock or environment feeds figure data — PR 2's golden fixtures
-        // prove results are bit-identical across worker counts.
+        // (the session busy-time counter) and host configuration (the
+        // POWADAPT_WORKERS worker count). Nothing it derives from the clock
+        // or environment feeds figure data — the golden fixtures prove
+        // results are bit-identical across worker counts.
         "crates/io/src/parallel.rs",
         RuleId::D1,
         "parallel executor owns host timing and worker-count configuration",

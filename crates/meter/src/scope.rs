@@ -208,12 +208,10 @@ mod tests {
 
     #[test]
     fn capture_zooms_an_evo_wake_spike() {
-        use powadapt_device::{catalog, StorageDevice};
+        use powadapt_device::{catalog, drain, StorageDevice};
         let mut dev = catalog::evo_860(5);
         dev.request_standby().expect("idle device sleeps");
-        while let Some(t) = dev.next_event() {
-            dev.advance_to(t);
-        }
+        drain(&mut dev);
         // Arm a 100 kHz scope on the wake edge: baseline at the standby
         // floor first, then wake the device mid-capture.
         let mut s = scope(Trigger::Rising(0.8));

@@ -207,16 +207,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Remove every metric whose name starts with `prefix` — how a session
-    /// scope (e.g. the executor's `executor.` counters) resets without
-    /// disturbing unrelated metrics.
-    pub fn remove_prefix(&self, prefix: &str) {
-        let mut inner = self.lock();
-        inner.counters.retain(|k, _| !k.starts_with(prefix));
-        inner.gauges.retain(|k, _| !k.starts_with(prefix));
-        inner.histograms.retain(|k, _| !k.starts_with(prefix));
-    }
-
     /// Drop every metric.
     pub fn clear(&self) {
         *self.lock() = Inner::default();
@@ -491,16 +481,6 @@ mod tests {
         assert_eq!(h.count, 2); // the slice holding t=0 expired by t=200
         assert_eq!(h.min, 2.0);
         assert_eq!(h.max, 3.0);
-    }
-
-    #[test]
-    fn remove_prefix_scopes_reset() {
-        let m = MetricsRegistry::new();
-        m.inc("executor.sweeps", 4);
-        m.inc("other", 7);
-        m.remove_prefix("executor.");
-        assert_eq!(m.counter("executor.sweeps"), 0);
-        assert_eq!(m.counter("other"), 7);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use powadapt::core::choose_config;
 use powadapt::core::{AdaptiveController, BudgetSchedule, ControlError, PowerEventCause, Slo};
-use powadapt::device::{catalog, StandbyState, StorageDevice, GIB, KIB};
+use powadapt::device::{catalog, drain, StandbyState, StorageDevice, GIB, KIB};
 use powadapt::io::{full_sweep, run_experiment, JobSpec, SweepScale, Workload};
 use powadapt::model::{pareto_frontier, ConfigPoint, LatencyModel, PowerThroughputModel};
 use powadapt::sim::{SimDuration, SimTime};
@@ -227,9 +227,7 @@ fn standby_fleet_member_wakes_on_io() {
     // paying the wake latency — the §4 redirection trade-off.
     let mut hdd = catalog::hdd_exos_7e2000(51);
     hdd.request_standby().expect("idle disk sleeps");
-    while let Some(t) = hdd.next_event() {
-        hdd.advance_to(t);
-    }
+    drain(&mut hdd);
     assert_eq!(hdd.standby_state(), StandbyState::Standby);
 
     let job = JobSpec::new(Workload::RandRead)

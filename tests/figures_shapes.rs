@@ -6,7 +6,7 @@
 //! tolerances; `EXPERIMENTS.md` records exact measured values from the full
 //! harness.
 
-use powadapt::device::{catalog, PowerStateId, StorageDevice, GIB, KIB, MIB};
+use powadapt::device::{catalog, drain, PowerStateId, StorageDevice, GIB, KIB, MIB};
 use powadapt::io::{run_fresh, JobSpec, SweepScale, Workload};
 use powadapt::sim::SimDuration;
 
@@ -204,9 +204,7 @@ fn fig7_evo_standby_halves_idle_power_within_half_a_second() {
     assert!((idle - 0.35).abs() < 0.02, "idle {idle}");
     let t0 = evo.now();
     evo.request_standby().expect("idle device accepts standby");
-    while let Some(t) = evo.next_event() {
-        evo.advance_to(t);
-    }
+    drain(&mut evo);
     let took = evo.now().duration_since(t0);
     assert!(
         took <= SimDuration::from_millis(500),
@@ -222,9 +220,7 @@ fn fig7_hdd_spin_cycle_matches_paper_energetics() {
     let mut hdd = catalog::hdd_exos_7e2000(5);
     let idle = hdd.power_w();
     hdd.request_standby().expect("idle disk accepts standby");
-    while let Some(t) = hdd.next_event() {
-        hdd.advance_to(t);
-    }
+    drain(&mut hdd);
     let standby = hdd.power_w();
     // Paper: 1.1 W standby vs 3.76 W idle — saves 2.66 W.
     assert!((standby - 1.1).abs() < 0.05, "standby {standby}");
@@ -238,7 +234,7 @@ fn fig7_hdd_spin_cycle_matches_paper_energetics() {
     use powadapt::device::{IoId, IoKind, IoRequest};
     hdd.submit(IoRequest::new(IoId(0), IoKind::Read, GIB, 4 * KIB))
         .expect("valid request");
-    let done = powadapt::device::drain(&mut hdd);
+    let done = drain(&mut hdd);
     assert!(
         done[0].latency() >= SimDuration::from_secs(5),
         "spin-up dominates: {}",

@@ -1,8 +1,8 @@
 //! Parallel-equivalence regression suite: every figure's summary must be
 //! byte-identical to its committed golden fixture, and identical at 1, 2,
-//! and 8 workers. This pins the determinism contract of the work-stealing
-//! sweep executor — results depend only on `(root seed, cell index)`, never
-//! on worker count or scheduling.
+//! and 8 workers. This pins the determinism contract of the sweep executor
+//! — results depend only on `(root seed, cell index)`, never on worker
+//! count or which worker claims a cell.
 //!
 //! Fixtures live in `crates/bench/goldens/`. After an intentional change to
 //! the device models, the runner, or a figure, regenerate them with
