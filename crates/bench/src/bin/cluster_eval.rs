@@ -12,91 +12,26 @@
 //!
 //! Run with: `cargo run --release -p powadapt-bench --bin cluster_eval`
 //!
-//! Checkpoint/resume: `--snapshot-out FILE` runs the canonical cell
-//! (model-driven, seed 42) to its midpoint, writes a sealed snapshot, and
-//! finishes the run; `--resume FILE` rebuilds the simulation from that
-//! snapshot and runs the remaining half. Both print the final report,
-//! which is bit-identical between the two paths. A corrupt, truncated, or
+//! Checkpoint/resume: `--snapshot-out FILE` / `--resume FILE` checkpoint
+//! the canonical cell (model-driven, seed 42) at its midpoint, under the
+//! flag contract shared with `placement_eval` and `longhaul` (see
+//! `powadapt_bench::checkpoint`): both print the final report,
+//! bit-identical between the two paths, and a corrupt, truncated, or
 //! mismatched snapshot is rejected with a typed error and exit code 2 —
 //! never a panic.
 
-use powadapt_bench::{apply_cli_workers, cli_flag_value, report_executor};
-use powadapt_cluster::{
-    oversubscribed_cluster, run_cluster, ClusterReport, ClusterSim, SelectionPolicy,
-};
+use powadapt_bench::checkpoint::CLUSTER_EVAL;
+use powadapt_bench::{apply_cli_workers, report_executor};
+use powadapt_cluster::{oversubscribed_cluster, run_cluster, ClusterReport, SelectionPolicy};
 use powadapt_io::{run_cells, ParallelConfig};
-use powadapt_sim::SimDuration;
 
 fn cell(policy: SelectionPolicy, seed: u64) -> ClusterReport {
     run_cluster(oversubscribed_cluster(policy, seed)).expect("cluster scenario runs")
 }
 
-/// The (policy, seed) cell the checkpoint flags operate on.
-fn checkpoint_spec() -> powadapt_cluster::ClusterSpec {
-    oversubscribed_cluster(SelectionPolicy::ModelDriven, 42)
-}
-
-fn fail(context: &str, err: &dyn std::fmt::Display) -> ! {
-    eprintln!("cluster_eval: {context}: {err}");
-    std::process::exit(2);
-}
-
-/// Runs the canonical cell to its midpoint, writes the sealed snapshot,
-/// then finishes the run and prints the report.
-fn snapshot_to(path: &str) {
-    let mut sim = match ClusterSim::new(checkpoint_spec()) {
-        Ok(s) => s,
-        Err(e) => fail("cannot build cluster", &e),
-    };
-    let mid = sim.start_time()
-        + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 2);
-    if let Err(e) = sim.run_to(mid) {
-        fail("first half failed", &e);
-    }
-    let bytes = match sim.snapshot() {
-        Ok(b) => b,
-        Err(e) => fail("snapshot failed", &e),
-    };
-    if let Err(e) = std::fs::write(path, &bytes) {
-        fail(&format!("cannot write {path}"), &e);
-    }
-    println!(
-        "checkpoint: {} bytes at t={:?} -> {path}",
-        bytes.len(),
-        sim.now()
-    );
-    match sim.finish() {
-        Ok(report) => print!("{report}"),
-        Err(e) => fail("second half failed", &e),
-    }
-}
-
-/// Resumes the canonical cell from a sealed snapshot and runs it to the
-/// end. Rejects bad snapshots with a typed error, never a panic.
-fn resume_from(path: &str) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("cannot read {path}"), &e),
-    };
-    let sim = match ClusterSim::resume(checkpoint_spec(), &bytes) {
-        Ok(s) => s,
-        Err(e) => fail("snapshot rejected", &e),
-    };
-    println!("resumed at t={:?} from {path}", sim.now());
-    match sim.finish() {
-        Ok(report) => print!("{report}"),
-        Err(e) => fail("resumed run failed", &e),
-    }
-}
-
 fn main() {
     apply_cli_workers();
-    if let Some(path) = cli_flag_value("--snapshot-out") {
-        snapshot_to(&path);
-        return;
-    }
-    if let Some(path) = cli_flag_value("--resume") {
-        resume_from(&path);
+    if CLUSTER_EVAL.serve_cli(|report| print!("{report}")) {
         return;
     }
     let trace = powadapt_bench::start_tracing();

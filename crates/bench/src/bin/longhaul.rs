@@ -11,20 +11,20 @@
 //!
 //! Flags: `--days N` sets the churn horizon (default 5);
 //! `--snapshot-out FILE` writes the mid-outage checkpoint of the regional
-//! failover scenario; `--resume FILE` resumes it. A corrupt or mismatched
-//! snapshot is rejected with a typed error and exit code 2, never a panic.
+//! failover scenario (model-driven, seed 42, at 120 ms) and `--resume FILE`
+//! resumes it, under the flag contract shared with `cluster_eval` and
+//! `placement_eval` (see `powadapt_bench::checkpoint`). A corrupt or
+//! mismatched snapshot is rejected with a typed error and exit code 2,
+//! never a panic.
 
+use powadapt_bench::checkpoint::LONGHAUL;
 use powadapt_bench::cli_flag_value;
 use powadapt_cluster::longhaul::{
     day, diurnal_churn, regional_failover, rolling_firmware, run_with_midnight_checkpoints,
 };
-use powadapt_cluster::{ClusterReport, ClusterSim, SelectionPolicy};
-use powadapt_sim::SimTime;
+use powadapt_cluster::{run_cluster, ClusterReport, ClusterSim, SelectionPolicy};
 
 const SEED: u64 = 42;
-/// Mid-outage checkpoint time for the failover scenario: the rack1
-/// breaker is open (trips at 80 ms, restores at 160 ms).
-const FAILOVER_CHECKPOINT: SimTime = SimTime::from_millis(120);
 
 fn fail(context: &str, err: &dyn std::fmt::Display) -> ! {
     eprintln!("longhaul: {context}: {err}");
@@ -41,58 +41,8 @@ fn summary_line(scenario: &str, policy: SelectionPolicy, r: &ClusterReport) {
     );
 }
 
-fn snapshot_to(path: &str) {
-    let mut sim = match ClusterSim::new(regional_failover(SelectionPolicy::ModelDriven, SEED)) {
-        Ok(s) => s,
-        Err(e) => fail("cannot build failover cluster", &e),
-    };
-    if let Err(e) = sim.run_to(FAILOVER_CHECKPOINT) {
-        fail("run to checkpoint failed", &e);
-    }
-    let bytes = match sim.snapshot() {
-        Ok(b) => b,
-        Err(e) => fail("snapshot failed", &e),
-    };
-    if let Err(e) = std::fs::write(path, &bytes) {
-        fail(&format!("cannot write {path}"), &e);
-    }
-    println!(
-        "checkpoint: {} bytes at t={:?} (mid-outage) -> {path}",
-        bytes.len(),
-        sim.now()
-    );
-    match sim.finish() {
-        Ok(r) => summary_line("regional-failover", SelectionPolicy::ModelDriven, &r),
-        Err(e) => fail("rest of run failed", &e),
-    }
-}
-
-fn resume_from(path: &str) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => fail(&format!("cannot read {path}"), &e),
-    };
-    let sim = match ClusterSim::resume(
-        regional_failover(SelectionPolicy::ModelDriven, SEED),
-        &bytes,
-    ) {
-        Ok(s) => s,
-        Err(e) => fail("snapshot rejected", &e),
-    };
-    println!("resumed at t={:?} from {path}", sim.now());
-    match sim.finish() {
-        Ok(r) => summary_line("regional-failover", SelectionPolicy::ModelDriven, &r),
-        Err(e) => fail("resumed run failed", &e),
-    }
-}
-
 fn main() {
-    if let Some(path) = cli_flag_value("--snapshot-out") {
-        snapshot_to(&path);
-        return;
-    }
-    if let Some(path) = cli_flag_value("--resume") {
-        resume_from(&path);
+    if LONGHAUL.serve_cli(|r| summary_line("regional-failover", SelectionPolicy::ModelDriven, r)) {
         return;
     }
     let days: u64 = cli_flag_value("--days").map_or(5, |v| {
@@ -102,21 +52,14 @@ fn main() {
 
     println!("== Long-horizon failure scenarios (seed {SEED}) ==\n");
     for policy in [SelectionPolicy::ModelDriven, SelectionPolicy::UniformStatic] {
-        let failover = match ClusterSim::new(regional_failover(policy, SEED)) {
-            Ok(s) => s,
-            Err(e) => fail("failover build failed", &e),
-        };
-        match failover.finish() {
-            Ok(r) => summary_line("regional-failover", policy, &r),
-            Err(e) => fail("failover run failed", &e),
-        }
-        let firmware = match ClusterSim::new(rolling_firmware(policy, SEED)) {
-            Ok(s) => s,
-            Err(e) => fail("firmware build failed", &e),
-        };
-        match firmware.finish() {
-            Ok(r) => summary_line("rolling-firmware", policy, &r),
-            Err(e) => fail("firmware run failed", &e),
+        for (scenario, spec) in [
+            ("regional-failover", regional_failover(policy, SEED)),
+            ("rolling-firmware", rolling_firmware(policy, SEED)),
+        ] {
+            match run_cluster(spec) {
+                Ok(r) => summary_line(scenario, policy, &r),
+                Err(e) => fail(&format!("{scenario} run failed"), &e),
+            }
         }
     }
 

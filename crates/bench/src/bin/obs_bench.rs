@@ -23,7 +23,7 @@ use std::time::Instant;
 use powadapt_bench::cli_flag_value;
 use powadapt_bench::golden::GOLDEN_SEED;
 use powadapt_cluster::{oversubscribed_cluster, run_cluster, SelectionPolicy};
-use powadapt_obs::TraceRecorder;
+use powadapt_obs::{Recorder, TraceRecorder};
 
 /// Event-ring capacity; large enough that the golden cells never drop,
 /// so the recorded event total is the full stream.
@@ -64,7 +64,7 @@ struct Arm {
 }
 
 /// Measures one arm: install `recorder` (or none) wiped in place, run
-/// the cells timed, read the event total, restore the previous recorder.
+/// the cells timed, restore the previous recorder, read the event total.
 ///
 /// The caller must have run one untimed warmup pass per arm before the
 /// first timed round: the wipe keeps the ring's allocation (see
@@ -73,29 +73,19 @@ struct Arm {
 /// untraced baseline never pays and a long-lived traced run amortizes to
 /// nothing.
 fn measure(recorder: Option<&Arc<TraceRecorder>>) -> Arm {
-    let prev = match recorder {
-        Some(r) => {
-            r.clear();
-            powadapt_obs::install(r.clone())
-        }
-        None => powadapt_obs::uninstall(),
-    };
-    let start = Instant::now();
-    let served = run_cells();
-    let elapsed_ns = start.elapsed().as_nanos();
-    let events = recorder.map_or(0, |r| r.log().total());
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
+    if let Some(r) = recorder {
+        r.clear();
     }
+    let installed = recorder.map(|r| r.clone() as Arc<dyn Recorder>);
+    let (served, elapsed_ns) = powadapt_obs::with_recorder(installed, || {
+        let start = Instant::now();
+        let served = run_cells();
+        (served, start.elapsed().as_nanos())
+    });
     Arm {
         served,
         elapsed_ns,
-        events,
+        events: recorder.map_or(0, |r| r.log().total()),
     }
 }
 

@@ -14,7 +14,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use powadapt_cluster::ClusterReport;
+use powadapt_cluster::{
+    oversubscribed_cluster, placement_cluster, run_cluster, ClusterReport, ClusterSpec,
+    PlacementArm, SelectionPolicy,
+};
 use powadapt_core::AdaptiveController;
 use powadapt_device::{
     catalog, drain, FaultInjector, FaultPlan, PowerStateId, StorageDevice, GIB, KIB,
@@ -28,6 +31,7 @@ use powadapt_model::{ConfigPoint, PowerThroughputModel};
 use powadapt_obs::TraceRecorder;
 use powadapt_sim::{SimDuration, SimTime};
 
+use crate::checkpoint::{checkpointed_run, Cut, CLUSTER_EVAL, PLACEMENT_EVAL};
 use crate::figures::{fig10, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table1};
 
 /// Root seed for every golden summary.
@@ -400,30 +404,12 @@ fn traced_controller_rounds() {
 ///
 /// Panics if a scenario run fails — the fixture pins a healthy pipeline.
 pub fn obs_events_summary(cfg: &ParallelConfig) -> String {
-    let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let prev = powadapt_obs::install(rec.clone());
     let cells: Vec<u64> = (0..4).collect();
-    let served = powadapt_io::run_cells(&cells, cfg, |_, &cell| traced_fleet_cell(cell));
-    traced_controller_rounds();
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
-
-    let mut rows: Vec<String> = rec
-        .log()
-        .counts()
-        .iter()
-        .map(|(kind, n)| format!("{{\"kind\": \"{kind}\", \"count\": {n}}}"))
-        .collect();
-    rows.push(format!(
-        "{{\"kind\": \"total\", \"count\": {}}}",
-        rec.log().total()
-    ));
+    let (served, mut rows) = with_event_counts(|| {
+        let served = powadapt_io::run_cells(&cells, cfg, |_, &cell| traced_fleet_cell(cell));
+        traced_controller_rounds();
+        served
+    });
     rows.push(format!(
         "{{\"served_ios\": [{}]}}",
         served
@@ -435,36 +421,42 @@ pub fn obs_events_summary(cfg: &ParallelConfig) -> String {
     doc(OBS_FIXTURE, GOLDEN_SEED, &rows)
 }
 
+/// Runs `f` under a fresh trace recorder (restoring the previous one
+/// afterwards) and returns its result with the per-kind event-count rows,
+/// ending with the total.
+fn with_event_counts<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
+    let rec = Arc::new(TraceRecorder::new(1 << 16));
+    let out = powadapt_obs::with_recorder(Some(rec.clone()), f);
+    let mut rows: Vec<String> = rec
+        .log()
+        .counts()
+        .iter()
+        .map(|(kind, n)| format!("{{\"kind\": \"{kind}\", \"count\": {n}}}"))
+        .collect();
+    rows.push(format!(
+        "{{\"kind\": \"total\", \"count\": {}}}",
+        rec.log().total()
+    ));
+    (out, rows)
+}
+
+/// Runs one golden cluster cell straight through, or — given a cut —
+/// checkpointed at it (see [`checkpointed_run`]).
+///
+/// # Panics
+///
+/// Panics if the run, snapshot, or resume fails.
+fn cell_report(spec: impl Fn() -> ClusterSpec, cut: Option<Cut>) -> ClusterReport {
+    match cut {
+        None => run_cluster(spec()),
+        Some(cut) => checkpointed_run(spec, cut),
+    }
+    .expect("golden cluster cell runs")
+}
+
 /// Name of the committed cluster-evaluation fixture
 /// (`crates/bench/goldens/cluster_eval.json`).
 pub const CLUSTER_FIXTURE: &str = "cluster_eval";
-
-fn cluster_cell(policy: powadapt_cluster::SelectionPolicy, seed: u64) -> ClusterReport {
-    powadapt_cluster::run_cluster(powadapt_cluster::oversubscribed_cluster(policy, seed))
-        .expect("cluster cell runs")
-}
-
-/// The same cell, but interrupted: run to the midpoint, serialize the
-/// complete simulation state to a sealed snapshot, drop the simulation,
-/// rebuild from the spec + snapshot, and run the rest. The report must be
-/// bit-identical to [`cluster_cell`]'s — that equality (checked against
-/// the same committed fixture) is the checkpoint/restore contract.
-fn cluster_cell_checkpointed(
-    policy: powadapt_cluster::SelectionPolicy,
-    seed: u64,
-) -> ClusterReport {
-    use powadapt_cluster::{oversubscribed_cluster, ClusterSim};
-    let mut sim =
-        ClusterSim::new(oversubscribed_cluster(policy, seed)).expect("cluster cell builds");
-    let mid = sim.start_time()
-        + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 2);
-    sim.run_to(mid).expect("first half runs");
-    let snap = sim.snapshot().expect("snapshot serializes");
-    drop(sim);
-    let resumed =
-        ClusterSim::resume(oversubscribed_cluster(policy, seed), &snap).expect("snapshot resumes");
-    resumed.finish().expect("second half runs")
-}
 
 fn cluster_report_row(r: &ClusterReport) -> String {
     format!(
@@ -494,12 +486,13 @@ fn cluster_report_row(r: &ClusterReport) -> String {
 ///
 /// Panics if a cluster run fails — the fixture pins a healthy pipeline.
 pub fn cluster_eval_summary(cfg: &ParallelConfig) -> String {
-    cluster_eval_summary_with(cfg, cluster_cell)
+    cluster_eval_summary_with(cfg, None)
 }
 
-/// [`cluster_eval_summary`] with every cell checkpointed mid-run:
-/// snapshot at the midpoint, drop the simulation, resume from the sealed
-/// bytes, and finish. Byte-equality with the *same* committed
+/// [`cluster_eval_summary`] with every cell checkpointed at
+/// `cluster_eval`'s cut ([`CLUSTER_EVAL`], the midpoint): snapshot, drop
+/// the simulation, resume from the sealed bytes, and finish.
+/// Byte-equality with the *same* committed
 /// `cluster_eval` fixture — at every worker count — is the acceptance
 /// proof that checkpoint/restore is invisible to results, traces, and
 /// event counts.
@@ -508,17 +501,10 @@ pub fn cluster_eval_summary(cfg: &ParallelConfig) -> String {
 ///
 /// Panics if a cluster run, snapshot, or resume fails.
 pub fn cluster_eval_summary_checkpointed(cfg: &ParallelConfig) -> String {
-    cluster_eval_summary_with(cfg, cluster_cell_checkpointed)
+    cluster_eval_summary_with(cfg, Some(CLUSTER_EVAL.cut))
 }
 
-fn cluster_eval_summary_with(
-    cfg: &ParallelConfig,
-    cell: fn(powadapt_cluster::SelectionPolicy, u64) -> ClusterReport,
-) -> String {
-    use powadapt_cluster::SelectionPolicy;
-
-    let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let prev = powadapt_obs::install(rec.clone());
+fn cluster_eval_summary_with(cfg: &ParallelConfig, cut: Option<Cut>) -> String {
     let seeds = [GOLDEN_SEED, GOLDEN_SEED + 1];
     let cells: Vec<(SelectionPolicy, u64)> = seeds
         .iter()
@@ -529,15 +515,11 @@ fn cluster_eval_summary_with(
             ]
         })
         .collect();
-    let reports = powadapt_io::run_cells(&cells, cfg, |_, &(policy, seed)| cell(policy, seed));
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
+    let (reports, counts) = with_event_counts(|| {
+        powadapt_io::run_cells(&cells, cfg, |_, &(policy, seed)| {
+            cell_report(|| oversubscribed_cluster(policy, seed), cut)
+        })
+    });
 
     let mut rows = Vec::new();
     for ((_, seed), report) in cells.iter().zip(&reports) {
@@ -571,16 +553,6 @@ fn cluster_eval_summary_with(
             jf(model.aggregate_throughput_bps() / uniform.aggregate_throughput_bps())
         ));
     }
-    let mut counts: Vec<String> = rec
-        .log()
-        .counts()
-        .iter()
-        .map(|(kind, n)| format!("{{\"kind\": \"{kind}\", \"count\": {n}}}"))
-        .collect();
-    counts.push(format!(
-        "{{\"kind\": \"total\", \"count\": {}}}",
-        rec.log().total()
-    ));
     rows.extend(counts);
     doc(CLUSTER_FIXTURE, GOLDEN_SEED, &rows)
 }
@@ -589,30 +561,14 @@ fn cluster_eval_summary_with(
 /// (`crates/bench/goldens/placement_eval.json`).
 pub const PLACEMENT_FIXTURE: &str = "placement_eval";
 
-fn placement_cell(arm: powadapt_cluster::PlacementArm, seed: u64) -> ClusterReport {
-    powadapt_cluster::run_cluster(powadapt_cluster::placement_cluster(arm, seed))
-        .expect("placement cell runs")
-}
+/// The three placement arms, in report order.
+pub const PLACEMENT_ARMS: [PlacementArm; 3] = [
+    PlacementArm::TempDriven,
+    PlacementArm::StaticSpread,
+    PlacementArm::NoMigration,
+];
 
-/// The placement cell, interrupted at its quarter point — for the
-/// temperature-driven arm that lands *inside* the consolidation drain
-/// window, so the snapshot carries in-flight migrations, reserved
-/// destination capacity, and standby pins. Bit-equality with the straight
-/// run is the mid-migration checkpoint contract.
-fn placement_cell_checkpointed(arm: powadapt_cluster::PlacementArm, seed: u64) -> ClusterReport {
-    use powadapt_cluster::{placement_cluster, ClusterSim};
-    let mut sim = ClusterSim::new(placement_cluster(arm, seed)).expect("placement cell builds");
-    let quarter = sim.start_time()
-        + SimDuration::from_nanos(sim.end_time().duration_since(sim.start_time()).as_nanos() / 4);
-    sim.run_to(quarter).expect("first quarter runs");
-    let snap = sim.snapshot().expect("snapshot serializes");
-    drop(sim);
-    let resumed =
-        ClusterSim::resume(placement_cluster(arm, seed), &snap).expect("snapshot resumes");
-    resumed.finish().expect("rest of the run completes")
-}
-
-fn placement_report_row(arm: powadapt_cluster::PlacementArm, r: &ClusterReport) -> String {
+fn placement_report_row(arm: PlacementArm, r: &ClusterReport) -> String {
     format!(
         "{{\"arm\": \"{arm:?}\", \"bytes\": {}, \"served\": {}, \"dropped\": {}, \"migrations_started\": {}, \"migrations_completed\": {}, \"migration_bytes\": {}, \"total_joules\": {}, \"system_joules\": {}, \"idle_joules\": {}, \"joules_per_byte\": {}, \"caps_respected\": {}, \"slos_met\": {}}}",
         r.total_bytes,
@@ -624,15 +580,20 @@ fn placement_report_row(arm: powadapt_cluster::PlacementArm, r: &ClusterReport) 
         jf(r.total_joules),
         jf(r.system_joules),
         jf(r.idle_joules),
-        jf(r.total_joules / r.total_bytes as f64),
+        jf(joules_per_byte(r)),
         r.caps_respected(),
         r.tenants.iter().filter(|t| t.slo_ok).count()
     )
 }
 
+/// Energy per tenant byte served, in joules.
+pub fn joules_per_byte(r: &ClusterReport) -> f64 {
+    r.total_joules / r.total_bytes as f64
+}
+
 /// Mean power drawn by the cold (HDD) enclosures — the stranded-watts
 /// signal consolidation exists to reclaim.
-fn cold_tier_mean_w(r: &ClusterReport) -> f64 {
+pub fn cold_tier_mean_w(r: &ClusterReport) -> f64 {
     r.nodes
         .iter()
         .filter(|n| n.path.contains("enc-cold"))
@@ -655,11 +616,12 @@ fn cold_tier_mean_w(r: &ClusterReport) -> f64 {
 ///
 /// Panics if a placement run fails — the fixture pins a healthy pipeline.
 pub fn placement_eval_summary(cfg: &ParallelConfig) -> String {
-    placement_eval_summary_with(cfg, placement_cell)
+    placement_eval_summary_with(cfg, None)
 }
 
-/// [`placement_eval_summary`] with every cell checkpointed at its quarter
-/// point — mid-migration for the temperature-driven arm. Byte-equality
+/// [`placement_eval_summary`] with every cell checkpointed at
+/// `placement_eval`'s cut ([`PLACEMENT_EVAL`], the quarter point) —
+/// mid-migration for the temperature-driven arm. Byte-equality
 /// with the *same* committed `placement_eval` fixture, at every worker
 /// count, proves a checkpoint taken between `MigrationStarted` and
 /// `MigrationCompleted` resumes bit-exact.
@@ -668,32 +630,17 @@ pub fn placement_eval_summary(cfg: &ParallelConfig) -> String {
 ///
 /// Panics if a placement run, snapshot, or resume fails.
 pub fn placement_eval_summary_checkpointed(cfg: &ParallelConfig) -> String {
-    placement_eval_summary_with(cfg, placement_cell_checkpointed)
+    placement_eval_summary_with(cfg, Some(PLACEMENT_EVAL.cut))
 }
 
-fn placement_eval_summary_with(
-    cfg: &ParallelConfig,
-    cell: fn(powadapt_cluster::PlacementArm, u64) -> ClusterReport,
-) -> String {
-    use powadapt_cluster::PlacementArm;
-
-    let rec = Arc::new(TraceRecorder::new(1 << 16));
-    let prev = powadapt_obs::install(rec.clone());
-    let arms = [
-        PlacementArm::TempDriven,
-        PlacementArm::StaticSpread,
-        PlacementArm::NoMigration,
-    ];
-    let cells: Vec<(PlacementArm, u64)> = arms.iter().map(|&a| (a, GOLDEN_SEED)).collect();
-    let reports = powadapt_io::run_cells(&cells, cfg, |_, &(arm, seed)| cell(arm, seed));
-    match prev {
-        Some(p) => {
-            powadapt_obs::install(p);
-        }
-        None => {
-            powadapt_obs::uninstall();
-        }
-    }
+fn placement_eval_summary_with(cfg: &ParallelConfig, cut: Option<Cut>) -> String {
+    let cells: Vec<(PlacementArm, u64)> =
+        PLACEMENT_ARMS.iter().map(|&a| (a, GOLDEN_SEED)).collect();
+    let (reports, counts) = with_event_counts(|| {
+        powadapt_io::run_cells(&cells, cfg, |_, &(arm, seed)| {
+            cell_report(|| placement_cluster(arm, seed), cut)
+        })
+    });
 
     let mut rows = Vec::new();
     for ((arm, _), report) in cells.iter().zip(&reports) {
@@ -722,26 +669,15 @@ fn placement_eval_summary_with(
             jf(cold_tier_mean_w(report))
         ));
     }
-    let jpb = |r: &ClusterReport| r.total_joules / r.total_bytes as f64;
     let temp = &reports[0];
     let spread = &reports[1];
     let nomig = &reports[2];
     rows.push(format!(
         "{{\"jpb_win_vs_static\": {}, \"jpb_win_vs_nomigration\": {}, \"stranded_w_reclaimed\": {}, \"migration_read_amplification\": {}}}",
-        jf(jpb(spread) / jpb(temp)),
-        jf(jpb(nomig) / jpb(temp)),
+        jf(joules_per_byte(spread) / joules_per_byte(temp)),
+        jf(joules_per_byte(nomig) / joules_per_byte(temp)),
         jf(cold_tier_mean_w(nomig) - cold_tier_mean_w(temp)),
         jf(temp.migration_bytes as f64 / temp.total_bytes as f64)
-    ));
-    let mut counts: Vec<String> = rec
-        .log()
-        .counts()
-        .iter()
-        .map(|(kind, n)| format!("{{\"kind\": \"{kind}\", \"count\": {n}}}"))
-        .collect();
-    counts.push(format!(
-        "{{\"kind\": \"total\", \"count\": {}}}",
-        rec.log().total()
     ));
     rows.extend(counts);
     doc(PLACEMENT_FIXTURE, GOLDEN_SEED, &rows)

@@ -12,6 +12,7 @@ use powadapt_device::{catalog, StorageDevice};
 use powadapt_io::SweepScale;
 use powadapt_sim::SimDuration;
 
+pub mod checkpoint;
 pub mod figures;
 pub mod golden;
 
@@ -98,8 +99,7 @@ fn parse_cli_workers(args: impl IntoIterator<Item = String>) -> Result<Option<us
 }
 
 /// Returns the value of a `--name VALUE` or `--name=VALUE` CLI flag, if
-/// present (last occurrence wins). Used by the checkpoint-aware binaries
-/// for `--snapshot-out` / `--resume`.
+/// present (last occurrence wins).
 pub fn cli_flag_value(name: &str) -> Option<String> {
     let mut found = None;
     let mut args = std::env::args().skip(1);

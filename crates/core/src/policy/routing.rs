@@ -3,37 +3,10 @@
 //! evaluation.
 
 use powadapt_device::{IoKind, PowerStateId, StandbyState};
-use powadapt_io::{Arrival, DeviceCommand, DeviceStatus, Route, Router};
+use powadapt_io::{pick_least_loaded, Arrival, DeviceCommand, DeviceStatus, Route, Router};
 use powadapt_sim::SimTime;
 
 use crate::policy::redirection::{RedirectionConfig, RedirectionPolicy};
-
-/// Least-loaded pick among `indices`, rotating from `cursor` through ties.
-fn pick_least_loaded(
-    fleet: &[DeviceStatus],
-    indices: impl Iterator<Item = usize> + Clone,
-    cursor: &mut usize,
-) -> usize {
-    let candidates: Vec<usize> = indices.collect();
-    assert!(!candidates.is_empty(), "router has no candidate devices");
-    let min = candidates
-        .iter()
-        .map(|&i| fleet[i].inflight)
-        .min()
-        // powadapt-lint: allow(D5, reason = "guarded by the assert above: candidates is non-empty")
-        .expect("non-empty");
-    let n = candidates.len();
-    let mut pick = candidates[*cursor % n];
-    for off in 0..n {
-        let i = candidates[(*cursor + off) % n];
-        if fleet[i].inflight == min {
-            pick = i;
-            *cursor = (*cursor + off + 1) % n;
-            break;
-        }
-    }
-    pick
-}
 
 /// SRCMap-style consolidation as a live router: periodically re-estimates
 /// demand from observed arrivals, steps the [`RedirectionPolicy`], and
@@ -75,7 +48,7 @@ impl Router for ConsolidatingRouter {
     fn route(&mut self, arrival: &Arrival, fleet: &[DeviceStatus]) -> Route {
         self.bytes_since_control += arrival.len;
         let active = self.policy.active().min(fleet.len()).max(1);
-        Route::Device(pick_least_loaded(fleet, 0..active, &mut self.cursor))
+        Route::Device(pick_least_loaded(&fleet[..active], &mut self.cursor))
     }
 
     fn control(&mut self, now: SimTime, fleet: &[DeviceStatus]) -> Vec<DeviceCommand> {
@@ -137,12 +110,12 @@ impl Router for WriteSegregationRouter {
     fn route(&mut self, arrival: &Arrival, fleet: &[DeviceStatus]) -> Route {
         let w = self.write_devices.min(fleet.len());
         Route::Device(match arrival.kind {
-            IoKind::Write => pick_least_loaded(fleet, 0..w, &mut self.w_cursor),
+            IoKind::Write => pick_least_loaded(&fleet[..w], &mut self.w_cursor),
             IoKind::Read => {
                 if w >= fleet.len() {
-                    pick_least_loaded(fleet, 0..fleet.len(), &mut self.r_cursor)
+                    pick_least_loaded(fleet, &mut self.r_cursor)
                 } else {
-                    pick_least_loaded(fleet, w..fleet.len(), &mut self.r_cursor)
+                    w + pick_least_loaded(&fleet[w..], &mut self.r_cursor)
                 }
             }
         })

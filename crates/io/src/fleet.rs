@@ -11,7 +11,7 @@
 use std::fmt;
 
 use powadapt_device::{
-    DeviceError, IoCompletion, IoId, IoKind, IoRequest, PowerStateId, StandbyState, StorageDevice,
+    DeviceError, IoCompletion, IoId, IoRequest, PowerStateId, StandbyState, StorageDevice,
 };
 use powadapt_meter::{PowerRig, PowerTrace};
 use powadapt_obs::{emit, EventKind};
@@ -122,25 +122,28 @@ pub struct LeastLoadedRouter {
 
 impl Router for LeastLoadedRouter {
     fn route(&mut self, _arrival: &Arrival, fleet: &[DeviceStatus]) -> Route {
-        let n = fleet.len();
-        let min = fleet
-            .iter()
-            .map(|d| d.inflight)
-            .min()
-            // powadapt-lint: allow(D5, reason = "routers are only invoked with a non-empty fleet")
-            .expect("fleet is non-empty");
-        // First device at the minimum, scanning from the rotation cursor.
-        let mut pick = self.next % n;
-        for off in 0..n {
-            let i = (self.next + off) % n;
-            if fleet[i].inflight == min {
-                pick = i;
-                break;
-            }
-        }
-        self.next = (pick + 1) % n;
-        Route::Device(pick)
+        Route::Device(pick_least_loaded(fleet, &mut self.next))
     }
+}
+
+/// The least-loaded device of `fleet`: the first with the fewest IOs in
+/// flight, scanning from `*cursor` (modulo the fleet size). Moves the
+/// cursor just past the pick, so ties rotate. Routers that serve a
+/// contiguous part of the fleet pass that sub-slice and offset the pick.
+///
+/// # Panics
+///
+/// Panics if `fleet` is empty.
+pub fn pick_least_loaded(fleet: &[DeviceStatus], cursor: &mut usize) -> usize {
+    assert!(!fleet.is_empty(), "router has no candidate devices");
+    let n = fleet.len();
+    // `min_by_key` keeps the first of equal minima, in scan order.
+    let pick = (0..n)
+        .map(|off| (*cursor + off) % n)
+        .min_by_key(|&i| fleet[i].inflight)
+        .unwrap_or(0);
+    *cursor = (pick + 1) % n;
+    pick
 }
 
 /// Per-device outcome of a fleet run.
@@ -525,12 +528,7 @@ where
             })
         })
         .collect::<Result<_, crate::stats::InvertedWindow>>()?;
-    let all: Vec<IoCompletion> = completions.into_iter().flatten().collect();
-    let total = IoStats::from_completions(&all, start, end)?;
-    let (rd, wr): (Vec<IoCompletion>, Vec<IoCompletion>) =
-        all.iter().partition(|c| c.kind == IoKind::Read);
-    let reads = IoStats::from_completions(&rd, start, end)?;
-    let writes = IoStats::from_completions(&wr, start, end)?;
+    let (total, reads, writes) = IoStats::by_kind(completions.iter().flatten(), start, end)?;
     let absorbed = IoStats::from_completions(&absorbed, start, end.max(start))?;
     let power = rig.into_trace();
     let energy_j = power.energy_j();
@@ -562,7 +560,7 @@ mod tests {
     use super::*;
     use crate::job::AccessPattern;
     use crate::openloop::Arrivals;
-    use powadapt_device::{catalog, GIB};
+    use powadapt_device::{catalog, IoKind, GIB};
 
     fn fleet(n: usize) -> Vec<Box<dyn StorageDevice>> {
         (0..n)
@@ -620,6 +618,27 @@ mod tests {
             "imbalance: {:?}",
             r.per_device.iter().map(|d| d.routed).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn least_loaded_pick_rotates_through_ties() {
+        let status = |inflight| DeviceStatus {
+            label: String::new(),
+            inflight,
+            standby: StandbyState::Active,
+            power_state: PowerStateId(0),
+            supports_standby: false,
+        };
+        let fleet: Vec<DeviceStatus> = [2, 1, 3, 1].into_iter().map(status).collect();
+        let mut cursor = 0;
+        let picks: Vec<usize> = (0..3)
+            .map(|_| pick_least_loaded(&fleet, &mut cursor))
+            .collect();
+        assert_eq!(picks, [1, 3, 1]);
+        // A stale cursor from a larger fleet wraps.
+        let mut cursor = 9;
+        assert_eq!(pick_least_loaded(&fleet[2..], &mut cursor), 1);
+        assert_eq!(cursor, 0);
     }
 
     #[test]

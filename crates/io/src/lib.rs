@@ -43,8 +43,8 @@ mod wltrace;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreakerRouter, QuarantineEvent};
 pub use fleet::{
-    run_fleet, run_fleet_arrivals, run_fleet_trace, DeviceCommand, DeviceOutcome, DeviceStatus,
-    FleetResult, LeastLoadedRouter, Route, Router,
+    pick_least_loaded, run_fleet, run_fleet_arrivals, run_fleet_trace, DeviceCommand,
+    DeviceOutcome, DeviceStatus, FleetResult, LeastLoadedRouter, Route, Router,
 };
 pub use job::{AccessPattern, JobSpec, Workload};
 pub use openloop::{Arrival, ArrivalGen, Arrivals, OpenLoopSpec};

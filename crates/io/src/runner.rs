@@ -272,13 +272,7 @@ pub fn run_experiment(
     }
 
     let end = device.now().max(measure_from);
-    let io = IoStats::from_completions(&completions, measure_from, end)?;
-    let (rd, wr): (Vec<_>, Vec<_>) = completions
-        .iter()
-        .copied()
-        .partition(|c| c.kind == IoKind::Read);
-    let reads = IoStats::from_completions(&rd, measure_from, end)?;
-    let writes = IoStats::from_completions(&wr, measure_from, end)?;
+    let (io, reads, writes) = IoStats::by_kind(&completions, measure_from, end)?;
     let power = rig.into_trace().between(measure_from, end);
 
     Ok(ExperimentResult {

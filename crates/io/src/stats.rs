@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use powadapt_device::{IoCompletion, MIB};
+use powadapt_device::{IoCompletion, IoKind, MIB};
 use powadapt_sim::{SimDuration, SimTime, Summary};
 
 /// Error from [`IoStats::from_completions`]: the measurement window ends
@@ -77,8 +77,45 @@ impl IoStats {
             ios: lats.len() as u64,
             bytes,
             elapsed: to.duration_since(from),
-            latencies: Summary::from_samples(&lats),
+            latencies: Summary::from_vec(lats),
         })
+    }
+
+    /// [`from_completions`](IoStats::from_completions) for all, read and
+    /// write completions in one pass: returns `(total, reads, writes)`.
+    /// Each equals the stats of the matching subset bit for bit, whatever
+    /// the completion order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvertedWindow`] if `from > to`.
+    pub(crate) fn by_kind<'a>(
+        completions: impl IntoIterator<Item = &'a IoCompletion>,
+        from: SimTime,
+        to: SimTime,
+    ) -> Result<(Self, Self, Self), InvertedWindow> {
+        if from > to {
+            return Err(InvertedWindow { from, to });
+        }
+        // Slot 0 takes every completion, slot 1 the reads, slot 2 the writes.
+        let mut bytes = [0u64; 3];
+        let mut lats: [Vec<f64>; 3] = Default::default();
+        for c in completions {
+            if c.completed >= from && c.completed <= to {
+                let lat = c.latency().as_nanos() as f64 / 1_000.0;
+                for k in [0, if c.kind == IoKind::Read { 1 } else { 2 }] {
+                    bytes[k] += c.len;
+                    lats[k].push(lat);
+                }
+            }
+        }
+        let [all, reads, writes] = std::array::from_fn(|k| IoStats {
+            ios: lats[k].len() as u64,
+            bytes: bytes[k],
+            elapsed: to.duration_since(from),
+            latencies: Summary::from_vec(std::mem::take(&mut lats[k])),
+        });
+        Ok((all, reads, writes))
     }
 
     /// Builds stats directly from a list of latencies (µs), a total byte
@@ -221,6 +258,37 @@ mod tests {
         assert_eq!(s.avg_latency_us(), 0.0);
         assert_eq!(s.p99_latency_us(), 0.0);
         assert!(s.latency_summary().is_none());
+    }
+
+    #[test]
+    fn by_kind_matches_the_filtered_subsets() {
+        let mut cs = vec![
+            completion(0, 100, 50, 4096),
+            completion(1, 1_500, 60, 8192),
+            completion(2, 2_000, 70, 4096),
+            completion(3, 3_000, 80, 4096), // outside window
+        ];
+        cs[1].kind = IoKind::Write;
+        let (from, to) = (SimTime::ZERO, SimTime::from_micros(2_999));
+        let (all, reads, writes) = IoStats::by_kind(cs.iter().rev(), from, to).unwrap();
+        let subset = |kind: Option<IoKind>| {
+            let cs: Vec<IoCompletion> = cs
+                .iter()
+                .copied()
+                .filter(|c| kind.is_none_or(|k| c.kind == k))
+                .collect();
+            IoStats::from_completions(&cs, from, to).unwrap()
+        };
+        for (got, kind) in [
+            (all, None),
+            (reads, Some(IoKind::Read)),
+            (writes, Some(IoKind::Write)),
+        ] {
+            let want = subset(kind);
+            assert_eq!((got.ios(), got.bytes()), (want.ios(), want.bytes()));
+            assert_eq!(got.latency_summary(), want.latency_summary());
+        }
+        assert!(IoStats::by_kind(&cs, to, from).is_err());
     }
 
     #[test]

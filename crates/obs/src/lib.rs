@@ -66,7 +66,9 @@ pub use event::{
 pub use export::{chrome_trace, events_jsonl};
 pub use intern::intern;
 pub use metrics::{metrics, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use recorder::{current, install, uninstall, EventLog, Recorder, RecorderHandle};
+pub use recorder::{
+    current, install, uninstall, with_recorder, EventLog, Recorder, RecorderHandle,
+};
 pub use sketch::{Sketch, WindowedSketch};
 pub use span::{collapsed_stacks, span_totals, SpanStat};
 pub use trace::{event_counts_json, TraceConfig, TraceMode, TraceRecorder, TraceSession};
@@ -157,5 +159,20 @@ mod tests {
         uninstall();
         assert!(!current().is_enabled());
         assert!(log.total() >= 1);
+
+        // A scoped recorder is reinstated afterwards, panic or not.
+        let scoped = Arc::new(EventLog::new(8));
+        let enabled = with_recorder(Some(scoped.clone()), || current().is_enabled());
+        assert!(enabled);
+        assert!(!current().is_enabled());
+        install(log.clone());
+        let inner = with_recorder(None, || current().is_enabled());
+        assert!(!inner);
+        let caught = std::panic::catch_unwind(|| with_recorder(Some(scoped.clone()), || panic!()));
+        assert!(caught.is_err());
+        emit!(current(), SimTime::ZERO, "g", EventKind::SpinUp);
+        assert_eq!(scoped.total(), 0);
+        assert!(log.total() >= 2);
+        uninstall();
     }
 }

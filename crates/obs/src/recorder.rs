@@ -74,21 +74,38 @@ fn read_global() -> Option<Arc<dyn Recorder>> {
     }
 }
 
+/// Puts `rec` in the global slot and returns the previous occupant.
+fn swap_global(rec: Option<Arc<dyn Recorder>>) -> Option<Arc<dyn Recorder>> {
+    let mut g = match GLOBAL.write() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    std::mem::replace(&mut *g, rec)
+}
+
 /// Install `rec` as the process-global recorder, returning the previous
 /// one, if any.
 pub fn install(rec: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
-    match GLOBAL.write() {
-        Ok(mut g) => g.replace(rec),
-        Err(poisoned) => poisoned.into_inner().replace(rec),
-    }
+    swap_global(Some(rec))
 }
 
 /// Remove and return the process-global recorder.
 pub fn uninstall() -> Option<Arc<dyn Recorder>> {
-    match GLOBAL.write() {
-        Ok(mut g) => g.take(),
-        Err(poisoned) => poisoned.into_inner().take(),
+    swap_global(None)
+}
+
+/// Runs `f` with `rec` as the process-global recorder (none at all when
+/// `rec` is `None`), then reinstates whichever recorder was installed
+/// before — also when `f` panics.
+pub fn with_recorder<T>(rec: Option<Arc<dyn Recorder>>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<dyn Recorder>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            swap_global(self.0.take());
+        }
     }
+    let _restore = Restore(swap_global(rec));
+    f()
 }
 
 /// A handle to the currently installed global recorder (disabled when none

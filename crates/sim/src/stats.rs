@@ -25,10 +25,15 @@ impl Summary {
     /// Builds a summary from samples. Returns `None` if `samples` is empty
     /// or contains non-finite values.
     pub fn from_samples(samples: &[f64]) -> Option<Self> {
-        if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {
+        Self::from_vec(samples.to_vec())
+    }
+
+    /// [`from_samples`](Summary::from_samples), taking ownership of the
+    /// samples instead of copying them.
+    pub fn from_vec(mut sorted: Vec<f64>) -> Option<Self> {
+        if sorted.is_empty() || sorted.iter().any(|x| !x.is_finite()) {
             return None;
         }
-        let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         let n = sorted.len() as f64;
         let mean = sorted.iter().sum::<f64>() / n;
